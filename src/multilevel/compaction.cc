@@ -358,16 +358,20 @@ Status MultilevelTree::FlushMemtable(std::shared_ptr<MemTable> imm) {
       fresh->levels[0].insert(fresh->levels[0].begin(), *it);
     }
     version_ = std::move(fresh);
-    // Readers must see the L0 run before the frozen memtable is dropped
-    // below (double-observation, never loss).
+    // One view swaps the frozen memtable for its L0 run, so a reader sees
+    // each record exactly once.
+    flushed_imm_ = imm.get();
     PublishView();
     stats_.memtable_flushes.fetch_add(1, std::memory_order_relaxed);
     manifest = BuildManifestLocked(&manifest_version);
   }
-  // Drop the frozen memtable only after the view containing its L0 run was
-  // published: the drop republishes (via on_memtable_change), so a reader
-  // sees the data in one place or both, never neither.
   frontend_->DropFrozen();
+  {
+    // `imm` is still alive here, so no new frozen memtable can reuse its
+    // address while flushed_imm_ names it.
+    util::MutexLock l(&mu_);
+    flushed_imm_ = nullptr;
+  }
   s = SaveManifest(manifest, manifest_version);
   if (!s.ok()) return s;
   return frontend_->TruncateToActive(/*consume=*/false);

@@ -262,15 +262,14 @@ MultilevelTree::ReadViewPtr MultilevelTree::PinView() {
 
 void MultilevelTree::PublishView() {
   // Called at every structural transition: flush/compaction installs do it
-  // directly (with the output runs already in version_ but the consumed
-  // memtable not yet dropped), memtable swaps reach it through the
-  // front-end hook. Each transition keeps every record reachable in at
-  // least one slot of the new view, so a reader may see a record twice
-  // (shadowed by sequence number) but never lose one.
+  // directly, memtable swaps reach it through the front-end hook. Each
+  // transition keeps every record reachable in exactly one slot of the new
+  // view: a flushed memtable is left out as soon as its L0 run is in
+  // version_, before the front-end drops it.
   auto view = std::make_shared<ReadView>();
   engine::MemtablePairPtr pair = frontend_->Pair();
   view->mem = pair->active;
-  view->imm = pair->frozen;
+  if (pair->frozen.get() != flushed_imm_) view->imm = pair->frozen;
   view->version = version_;
   view_.store(std::move(view));
   // Every publication is a structural change that may have drained the L0

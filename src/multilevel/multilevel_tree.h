@@ -299,6 +299,10 @@ class MultilevelTree {
 
   mutable util::Mutex mu_{util::lock_rank::kMultilevelTreeMu};
   VersionPtr version_ GUARDED_BY(mu_);
+  // The frozen memtable whose L0 run is already in version_, from the flush
+  // install until the flush drops it. PublishView leaves it out of the view:
+  // a reader seeing both copies would apply its deltas twice.
+  const MemTable* flushed_imm_ GUARDED_BY(mu_) = nullptr;
   // RCU publication point for the read path; stores only in PublishView
   // (under mu_), loads lock-free.
   util::AtomicSharedPtr<const ReadView> view_;

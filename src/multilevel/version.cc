@@ -122,6 +122,11 @@ Status DecodeManifest(const std::string& blob, ManifestData* out) {
     return Status::Corruption("bad manifest header");
   }
   data.tier_runs = static_cast<int>(tier_runs);
+  // The checksum proves the bytes intact, not the count sane: each entry
+  // takes at least 5 bytes (level, number, two length prefixes, data_bytes).
+  if (count > body.size() / 5) {
+    return Status::Corruption("manifest file count exceeds its body");
+  }
   data.files.reserve(count);
   for (uint32_t i = 0; i < count; i++) {
     if (body.empty()) return Status::Corruption("truncated manifest");

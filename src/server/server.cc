@@ -112,6 +112,9 @@ class Server::Impl {
     int shards = router_->num_shards();
     shard_ops_.reset(new std::atomic<uint64_t>[shards]);
     for (int i = 0; i < shards; i++) shard_ops_[i].store(0);
+    unfinished_.reset(new std::atomic<uint32_t>[shards]);
+    for (int i = 0; i < shards; i++) unfinished_[i].store(0);
+    staged_.resize(static_cast<size_t>(shards));
     queues_.reserve(static_cast<size_t>(shards));
     for (int i = 0; i < shards; i++) {
       queues_.push_back(std::make_unique<ShardQueue>());
@@ -164,6 +167,7 @@ class Server::Impl {
     out["server.write_batches"] = write_batches_.load();
     out["server.write_ops"] = write_ops_.load();
     out["server.reads_coalesced"] = reads_coalesced_.load();
+    out["server.reads_inline"] = reads_inline_.load();
     uint64_t depth = 0;
     for (const auto& q : queues_) {
       util::MutexLock l(&q->mu);
@@ -220,6 +224,7 @@ class Server::Impl {
           dead.push_back(e.fd);
         }
       }
+      DispatchStaged();
       for (int fd : dead) CloseConn(fd);
     }
   }
@@ -286,8 +291,8 @@ class Server::Impl {
     return true;
   }
 
-  // Copies the request out of the frame buffer and routes it. Single-key ops
-  // go straight to their shard's queue; multi-shard ops fan out.
+  // Copies the request out of the frame buffer and stages it for its shard.
+  // Single-key ops go to one shard; multi-shard ops fan out.
   void Dispatch(const std::shared_ptr<ServerConn>& conn, const Request& req) {
     requests_.fetch_add(1, std::memory_order_relaxed);
     switch (req.op) {
@@ -302,7 +307,7 @@ class Server::Impl {
         t.key = req.key.ToString();
         t.value = req.value.ToString();
         int shard = router_->ShardOf(req.key);
-        Enqueue(shard, std::move(t));
+        Stage(shard, std::move(t));
         break;
       }
       case OpCode::kMultiGet: {
@@ -335,7 +340,7 @@ class Server::Impl {
           t.op = OpCode::kMultiGet;
           t.fan = fan;
           t.mg_keys = std::move(per[sh]);
-          Enqueue(static_cast<int>(sh), std::move(t));
+          Stage(static_cast<int>(sh), std::move(t));
         }
         break;
       }
@@ -368,7 +373,7 @@ class Server::Impl {
           t.op = OpCode::kWriteBatch;
           t.fan = fan;
           t.batch = std::move(per[sh]);
-          Enqueue(static_cast<int>(sh), std::move(t));
+          Stage(static_cast<int>(sh), std::move(t));
         }
         break;
       }
@@ -397,7 +402,7 @@ class Server::Impl {
           t.key = req.key.ToString();
           t.scan_limit = req.scan_limit;
           t.scan_slot = sh;
-          Enqueue(sh, std::move(t));
+          Stage(sh, std::move(t));
         }
         break;
       }
@@ -408,7 +413,7 @@ class Server::Impl {
         t.op = OpCode::kStats;
         t.id = req.id;
         t.conn = conn;
-        Enqueue(0, std::move(t));
+        Stage(0, std::move(t));
         break;
       }
     }
@@ -467,14 +472,55 @@ class Server::Impl {
     conns_active_.fetch_sub(1, std::memory_order_relaxed);
   }
 
-  // ---- shard workers -------------------------------------------------------
+  // ---- dispatch (event-loop thread) ----------------------------------------
 
-  void Enqueue(int shard, ShardTask task) {
-    ShardQueue& q = *queues_[static_cast<size_t>(shard)];
-    util::MutexLock l(&q.mu);
-    q.tasks.push_back(std::move(task));
-    q.cv.NotifyOne();
+  void Stage(int shard, ShardTask task) {
+    staged_[static_cast<size_t>(shard)].push_back(std::move(task));
+    staged_count_++;
+    last_staged_shard_ = shard;
   }
+
+  // Hands the tasks decoded in one loop iteration to their shards: one lock
+  // and one wake-up per shard, not per request.
+  //
+  // A lone GET whose shard has nothing queued or running is answered here
+  // instead; handing it over would only add the worker's wake-up to its
+  // latency. Zero unfinished tasks means every request dispatched earlier to
+  // that shard has been applied, so the GET observes them all (the per-key
+  // ordering guarantee). This thread is the only producer, so the worker
+  // stays idle while the GET runs.
+  void DispatchStaged() {
+    if (staged_count_ == 0) return;
+    const size_t lone = static_cast<size_t>(last_staged_shard_);
+    if (staged_count_ == 1 && staged_[lone][0].op == OpCode::kGet &&
+        unfinished_[lone].load(std::memory_order_acquire) == 0) {
+      const ShardTask& t = staged_[lone][0];
+      std::string value;
+      Status s = router_->shard(last_staged_shard_)->Get(t.key, &value);
+      shard_ops_[lone].fetch_add(1, std::memory_order_relaxed);
+      reads_inline_.fetch_add(1, std::memory_order_relaxed);
+      SendGetResponse(t, s, value);
+      staged_[lone].clear();
+      staged_count_ = 0;
+      return;
+    }
+    for (size_t sh = 0; sh < staged_.size(); sh++) {
+      std::vector<ShardTask>& tasks = staged_[sh];
+      if (tasks.empty()) continue;
+      unfinished_[sh].fetch_add(static_cast<uint32_t>(tasks.size()),
+                                std::memory_order_relaxed);
+      ShardQueue& q = *queues_[sh];
+      {
+        util::MutexLock l(&q.mu);
+        for (ShardTask& t : tasks) q.tasks.push_back(std::move(t));
+        q.cv.NotifyOne();
+      }
+      tasks.clear();
+    }
+    staged_count_ = 0;
+  }
+
+  // ---- shard workers -------------------------------------------------------
 
   void ShardWorker(int idx) {
     ShardQueue& q = *queues_[static_cast<size_t>(idx)];
@@ -487,6 +533,9 @@ class Server::Impl {
         local.swap(q.tasks);
       }
       ProcessRun(idx, &local);
+      // Release: an inline GET that reads zero sees this run's writes.
+      unfinished_[idx].fetch_sub(static_cast<uint32_t>(local.size()),
+                                 std::memory_order_release);
       local.clear();
     }
   }
@@ -748,6 +797,13 @@ class Server::Impl {
 
   // Event-loop thread only (Stop touches it after joining that thread).
   std::unordered_map<int, std::shared_ptr<ServerConn>> conns_;
+  // Event-loop thread only: this iteration's tasks, per shard.
+  std::vector<std::vector<ShardTask>> staged_;
+  size_t staged_count_ = 0;
+  int last_staged_shard_ = 0;
+
+  // Per shard: tasks pushed to its queue whose run has not finished yet.
+  std::unique_ptr<std::atomic<uint32_t>[]> unfinished_;
 
   std::atomic<uint64_t> conns_accepted_{0};
   std::atomic<uint64_t> conns_active_{0};
@@ -759,6 +815,7 @@ class Server::Impl {
   std::atomic<uint64_t> write_batches_{0};   // coalesced engine Writes
   std::atomic<uint64_t> write_ops_{0};       // client write requests in them
   std::atomic<uint64_t> reads_coalesced_{0};  // GETs served via MultiGet
+  std::atomic<uint64_t> reads_inline_{0};     // lone GETs served by the loop
   std::unique_ptr<std::atomic<uint64_t>[]> shard_ops_;
 };
 

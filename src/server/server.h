@@ -4,14 +4,21 @@
 // Shard-per-core network front-end over N kv::Engine shards.
 //
 // One acceptor/event-loop thread owns every socket: it accepts connections,
-// reads frames, decodes requests, and dispatches each to the task queue of
-// the shard its key hashes to. One worker thread per shard drains that
-// queue — after dispatch a request never crosses cores again. The worker is
+// reads frames and decodes requests. Each loop iteration first decodes every
+// ready frame, then hands each shard its tasks under one queue lock with one
+// wake-up. One worker thread per shard drains that queue. The worker is
 // where the perf story lives: it drains whole runs of queued writes from
 // *different* connections into one kv::WriteBatch, so one engine Write —
 // and therefore one WAL group-commit sync — acknowledges many clients
 // (server.syncs_per_op falls well below 1 under concurrent sync writers).
 // Consecutive GETs coalesce into one MultiGet the same way.
+//
+// One exception skips the queue: when an iteration decodes exactly one
+// request, it is a GET, and its shard has no task queued or running, the
+// loop thread runs the Get itself and answers (server.reads_inline). An
+// idle shard has applied every earlier request, so the per-key ordering
+// guarantee holds; the worker's wake-up, which the GET would otherwise wait
+// for, is saved.
 //
 // Multi-shard requests (MULTIGET, WRITE_BATCH, SCAN) fan out one sub-task
 // per touched shard; the last shard to finish assembles and sends the

@@ -214,6 +214,7 @@ bool DecodeMultiGetBody(const Slice& body,
   Slice in = body;
   uint32_t n;
   if (!GetFixed32(&in, &n)) return false;
+  if (n > in.size() / 5) return false;  // 1 found byte + 1 length prefix
   out->clear();
   out->reserve(n);
   for (uint32_t i = 0; i < n; i++) {
@@ -233,6 +234,7 @@ bool DecodeScanBody(
   Slice in = body;
   uint32_t n;
   if (!GetFixed32(&in, &n)) return false;
+  if (n > in.size() / 8) return false;  // 2 length prefixes
   out->clear();
   out->reserve(n);
   for (uint32_t i = 0; i < n; i++) {
@@ -248,6 +250,7 @@ bool DecodeStatsBody(const Slice& body,
   Slice in = body;
   uint32_t n;
   if (!GetFixed32(&in, &n)) return false;
+  if (n > in.size() / 12) return false;  // 1 length prefix + 8-byte value
   out->clear();
   out->reserve(n);
   for (uint32_t i = 0; i < n; i++) {

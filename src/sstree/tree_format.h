@@ -26,6 +26,9 @@ namespace blsm::sstree {
 struct Footer {
   static constexpr uint64_t kMagic = 0xb15a7ee0f00dull;
   static constexpr size_t kEncodedLength = 8 * 7 + 4;
+  // The footer carries no checksum, and readers size per-level state by
+  // index_levels. Every real tree is far shallower than this.
+  static constexpr uint32_t kMaxIndexLevels = 32;
 
   uint64_t root_offset = 0;
   uint64_t root_size = 0;
@@ -60,6 +63,9 @@ struct Footer {
     uint64_t magic;
     GetFixed64(&input, &magic);
     if (magic != kMagic) return Status::Corruption("bad tree footer magic");
+    if (index_levels > kMaxIndexLevels) {
+      return Status::Corruption("implausible tree footer index_levels");
+    }
     return Status::OK();
   }
 };

@@ -30,6 +30,12 @@ Status TreeReader::Open(Env* env, BlockCache* cache, uint64_t file_id,
   if (!s.ok()) return s;
   s = reader->footer_.DecodeFrom(footer_bytes);
   if (!s.ok()) return Status::Corruption(fname + ": " + s.ToString());
+  const Footer& footer = reader->footer_;
+  const uint64_t body_size = reader->file_size_ - Footer::kEncodedLength;
+  if (footer.bloom_offset > body_size ||
+      footer.bloom_size > body_size - footer.bloom_offset) {
+    return Status::Corruption(fname + ": bloom filter extends past the footer");
+  }
 
   // Bloom filter: loaded whole at open; it lives in RAM for the component's
   // lifetime (the paper's filters are memory-resident, §4.4.3).

@@ -7,6 +7,9 @@
 
 #include "io/counting_env.h"
 #include "io/mem_env.h"
+#include "multilevel/version.h"
+#include "util/coding.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 
 namespace blsm::multilevel {
@@ -393,6 +396,20 @@ TEST_F(MultilevelTest, TieredShapeSurvivesReopen) {
     std::string value;
     ASSERT_TRUE(tree_->Get(PaddedKey(re_rnd.Uniform(500000)), &value).ok());
   }
+}
+
+// A manifest whose checksum matches but whose file count exceeds what its
+// body can hold is corrupt, not a request for a huge allocation.
+TEST(ManifestDecodeTest, ForgedFileCountRejected) {
+  ManifestData data;
+  std::string blob = EncodeManifest(data);
+  // Drop the checksum and the trailing zero count, then forge the count and
+  // re-checksum so only the count is wrong.
+  std::string body = blob.substr(0, blob.size() - 5);
+  PutVarint32(&body, 0xffffffffu);
+  PutFixed32(&body, crc32c::Mask(crc32c::Value(body.data(), body.size())));
+  ManifestData out;
+  EXPECT_TRUE(DecodeManifest(body, &out).IsCorruption());
 }
 
 }  // namespace

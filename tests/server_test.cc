@@ -10,6 +10,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -200,6 +201,85 @@ TEST_F(ServerTest, PipelinedRequestsAllComplete) {
   std::string value;
   ASSERT_TRUE(client->Get("p0", &value).ok());
   EXPECT_EQ(value, "pv0");
+}
+
+// The documented per-key guarantee: a GET pipelined behind a PUT of the same
+// key on one connection observes the PUT, whichever path serves the GET.
+TEST_F(ServerTest, PipelinedPutThenGetObservesPut) {
+  StartServer(4);
+  auto client = NewClient();
+  constexpr int kKeys = 200;
+  std::string frames;
+  std::map<uint64_t, std::string> get_expect;  // GET id -> value
+  std::set<uint64_t> put_ids;
+  for (int i = 0; i < kKeys; i++) {
+    std::string key = "order" + std::to_string(i);
+    std::string value = "ov" + std::to_string(i);
+    uint64_t put_id = client->NextId();
+    server::EncodePut(&frames, put_id, key, value);
+    put_ids.insert(put_id);
+    uint64_t get_id = client->NextId();
+    server::EncodeGet(&frames, get_id, key);
+    get_expect[get_id] = value;
+  }
+  ASSERT_TRUE(client->Send(frames).ok());
+  for (int i = 0; i < 2 * kKeys; i++) {
+    server::Response r;
+    ASSERT_TRUE(client->Recv(&r).ok());
+    ASSERT_EQ(r.status, server::WireStatus::kOk) << "id " << r.id;
+    auto it = get_expect.find(r.id);
+    if (it == get_expect.end()) {
+      ASSERT_EQ(put_ids.erase(r.id), 1u) << "unknown id " << r.id;
+      continue;
+    }
+    EXPECT_EQ(r.body, it->second) << "id " << r.id;
+    get_expect.erase(it);
+  }
+  EXPECT_TRUE(get_expect.empty());
+  EXPECT_TRUE(put_ids.empty());
+}
+
+// A lone GET on an idle shard is answered by the event loop itself; a
+// pipelined burst still reaches the shard worker and coalesces into MultiGet.
+TEST_F(ServerTest, LoneGetsRunInlineBurstsCoalesce) {
+  StartServer(2);
+  auto client = NewClient();
+  constexpr int kKeys = 64;
+  for (int i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(
+        client->Put("in" + std::to_string(i), "iv" + std::to_string(i)).ok());
+  }
+
+  std::map<std::string, uint64_t> before;
+  ASSERT_TRUE(client->Stats(&before).ok());
+  for (int i = 0; i < kKeys; i++) {
+    std::string value;
+    ASSERT_TRUE(client->Get("in" + std::to_string(i), &value).ok());
+    EXPECT_EQ(value, "iv" + std::to_string(i));
+  }
+  std::map<std::string, uint64_t> after;
+  ASSERT_TRUE(client->Stats(&after).ok());
+  EXPECT_GT(after["server.reads_inline"], before["server.reads_inline"]);
+
+  std::string frames;
+  std::map<uint64_t, std::string> expect;
+  for (int i = 0; i < kKeys; i++) {
+    uint64_t id = client->NextId();
+    server::EncodeGet(&frames, id, "in" + std::to_string(i));
+    expect[id] = "iv" + std::to_string(i);
+  }
+  ASSERT_TRUE(client->Send(frames).ok());
+  for (int i = 0; i < kKeys; i++) {
+    server::Response r;
+    ASSERT_TRUE(client->Recv(&r).ok());
+    ASSERT_EQ(r.status, server::WireStatus::kOk);
+    ASSERT_EQ(expect.count(r.id), 1u);
+    EXPECT_EQ(r.body, expect[r.id]);
+    expect.erase(r.id);
+  }
+  std::map<std::string, uint64_t> burst;
+  ASSERT_TRUE(client->Stats(&burst).ok());
+  EXPECT_GT(burst["server.reads_coalesced"], after["server.reads_coalesced"]);
 }
 
 TEST_F(ServerTest, ConcurrentSyncWritersShareWalSyncs) {

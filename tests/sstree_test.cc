@@ -311,6 +311,31 @@ TEST_F(TreeTest, CorruptFooterRejected) {
                   .IsCorruption());
 }
 
+// The footer has no checksum, so its fields are checked for plausibility:
+// a forged index depth or Bloom size must not drive an allocation.
+TEST_F(TreeTest, ForgedFooterFieldsRejected) {
+  BuildTree(10);
+  std::string good;
+  ASSERT_TRUE(ReadFileToString(&mem_env_, "t.tree", &good).ok());
+  const size_t footer = good.size() - Footer::kEncodedLength;
+  const size_t index_levels_at = footer + 16;
+  const size_t bloom_size_at = footer + 28;
+
+  std::string data = good;
+  EncodeFixed32(data.data() + index_levels_at, 0xffffffffu);
+  ASSERT_TRUE(WriteStringToFile(&mem_env_, data, "deep.tree", false).ok());
+  std::unique_ptr<TreeReader> reader;
+  EXPECT_TRUE(TreeReader::Open(&counting_env_, &cache_, 6, "deep.tree", &reader)
+                  .IsCorruption());
+
+  data = good;
+  EncodeFixed64(data.data() + bloom_size_at, 1ull << 40);
+  ASSERT_TRUE(WriteStringToFile(&mem_env_, data, "bloom.tree", false).ok());
+  EXPECT_TRUE(
+      TreeReader::Open(&counting_env_, &cache_, 7, "bloom.tree", &reader)
+          .IsCorruption());
+}
+
 TEST_F(TreeTest, TruncatedFileRejected) {
   ASSERT_TRUE(WriteStringToFile(&mem_env_, "short", "tiny.tree", false).ok());
   std::unique_ptr<TreeReader> reader;

@@ -117,6 +117,8 @@ TEST(WireFuzzTest, ForgedCountsDoNotAllocate) {
   std::string body;
   PutFixed32(&body, 0x40000000u);
   EXPECT_FALSE(server::DecodeMultiGetBody(body, &mg));
+  std::vector<std::pair<std::string, std::string>> scan;
+  EXPECT_FALSE(server::DecodeScanBody(body, &scan));
   std::vector<std::pair<std::string, uint64_t>> st;
   EXPECT_FALSE(server::DecodeStatsBody(body, &st));
 }

@@ -153,7 +153,10 @@ void OpenLoopWorker(const std::string& host, uint16_t port, uint64_t ops,
       } else {
         server::EncodePut(&frame, id, key, values.Next(rec, value_size));
       }
-      start_us[k].store(NowMicros(), std::memory_order_release);
+      // Latency runs from the intended send time, so a send that fell
+      // behind schedule is charged to its request (no coordinated
+      // omission).
+      start_us[k].store(due, std::memory_order_release);
       CheckOk(client->Send(frame), "send request");
     }
   });

@@ -58,6 +58,7 @@ inline constexpr const char* kKeys[] = {
     "server.reads_coalesced",
     "server.reads_inline",
     "server.requests",
+    "server.response_writes",
     "server.write_batches",
     "server.write_ops",
     "shards",

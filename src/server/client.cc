@@ -1,7 +1,9 @@
 #include "server/client.h"
 
+#include <cerrno>
+#include <cstring>
+
 #include "io/socket.h"
-#include "util/coding.h"
 
 namespace blsm::server {
 
@@ -41,21 +43,27 @@ Status Client::Send(const std::string& frames) {
 }
 
 Status Client::Recv(Response* out) {
-  char hdr[kFrameHeaderBytes];
-  Status s = net::RecvAll(fd_, hdr, sizeof(hdr));
-  if (!s.ok()) return s;  // NotFound("eof") on orderly close
-  uint32_t len = DecodeFixed32(hdr);
-  if (len > kMaxFrameBytes) {
-    return Status::Corruption("response frame over kMaxFrameBytes");
+  Slice payload;
+  bool bad = false;
+  while (!reader_.Next(&payload, &bad)) {
+    if (bad) return Status::Corruption("response frame over kMaxFrameBytes");
+    size_t n = 0;
+    net::IoResult r =
+        net::RecvSome(fd_, recv_buf_.data(), recv_buf_.size(), &n);
+    if (r == net::IoResult::kEof) {
+      if (reader_.buffered_bytes() == 0) return Status::NotFound("eof");
+      return Status::IOError("connection closed mid-frame");
+    }
+    if (r != net::IoResult::kOk) {
+      return Status::IOError(std::string("recv: ") + strerror(errno));
+    }
+    reader_.Feed(recv_buf_.data(), n);
   }
-  std::string payload(len, '\0');
-  s = net::RecvAll(fd_, payload.data(), len);
-  if (!s.ok()) return s;
   Slice body;
-  if (!DecodeResponseHeader(payload, &out->status, &out->id, &body)) {
-    return Status::Corruption("malformed response frame");
-  }
-  out->body.assign(body.data(), body.size());
+  bool ok = DecodeResponseHeader(payload, &out->status, &out->id, &body);
+  if (ok) out->body.assign(body.data(), body.size());
+  reader_.Pop();
+  if (!ok) return Status::Corruption("malformed response frame");
   return Status::OK();
 }
 

@@ -10,7 +10,8 @@
 //     and drain responses with Recv, matching by request_id. Responses from
 //     different shards return out of order by design.
 //
-// Not thread-safe; one Client per thread.
+// Not thread-safe; one Client per thread. The one exception is pipelining:
+// one thread may Send while another Recvs, as they share only the socket.
 
 #include <cstdint>
 #include <map>
@@ -51,11 +52,12 @@ class Client {
   // Pushes pre-encoded request frames onto the socket.
   Status Send(const std::string& frames);
   // Blocks for the next response frame. NotFound("eof") on orderly server
-  // close between frames.
+  // close between frames. Reads through a buffer, so a burst of responses
+  // that arrived together costs one recv.
   Status Recv(Response* out);
 
  private:
-  explicit Client(int fd) : fd_(fd) {}
+  explicit Client(int fd) : fd_(fd), recv_buf_(64 * 1024) {}
 
   // Sends one encoded request and waits for its response (single request in
   // flight, so the next frame is the answer).
@@ -63,6 +65,8 @@ class Client {
 
   int fd_;
   uint64_t next_id_ = 1;
+  FrameReader reader_;          // buffered response bytes
+  std::vector<char> recv_buf_;
 };
 
 }  // namespace blsm::server

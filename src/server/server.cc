@@ -23,9 +23,9 @@ namespace {
 constexpr uint32_t kMaxScanLimit = 64 * 1024;
 
 // Per-connection state. The event-loop thread owns fd registration and the
-// frame reader; shard workers append responses under mu and push bytes
-// directly into the socket when it has room, so a response only waits for
-// the loop when the kernel buffer is full.
+// frame reader; shard workers push response bytes straight into the socket
+// under mu when it has room, so a response only waits for the loop when the
+// kernel buffer is full. out is empty whenever want_write is false.
 struct ServerConn {
   int fd = -1;
   FrameReader reader;  // event-loop thread only
@@ -68,6 +68,49 @@ struct ShardTask {
   int scan_slot = -1;  // index into fan->scan_parts
   std::vector<std::pair<size_t, std::string>> mg_keys;  // (caller pos, key)
   kv::WriteBatch batch;  // this shard's slice of a WRITE_BATCH
+};
+
+// A shard worker's replies for one dequeued run: the encoded frames for each
+// connection the run touched, in completion order. The worker flushes it at
+// the end of the run, one socket write per connection. Buffers keep their
+// capacity from run to run, up to kRetainBytes each.
+class Outbox {
+ public:
+  // The buffer to append conn's next response frame to.
+  std::string* For(const std::shared_ptr<ServerConn>& conn) {
+    // A run touches few connections, and the latest one most often.
+    for (size_t i = used_; i-- > 0;) {
+      if (entries_[i].conn == conn) return &entries_[i].frames;
+    }
+    if (used_ == entries_.size()) entries_.emplace_back();
+    Entry& e = entries_[used_++];
+    e.conn = conn;
+    e.frames.clear();
+    return &e.frames;
+  }
+
+  // Calls fn(conn, frames) once per touched connection, then empties the
+  // outbox.
+  template <typename Fn>
+  void Drain(Fn&& fn) {
+    for (size_t i = 0; i < used_; i++) {
+      Entry& e = entries_[i];
+      fn(e.conn, e.frames);
+      e.conn.reset();
+      if (e.frames.capacity() > kRetainBytes) std::string().swap(e.frames);
+    }
+    used_ = 0;
+  }
+
+ private:
+  static constexpr size_t kRetainBytes = 256 * 1024;
+
+  struct Entry {
+    std::shared_ptr<ServerConn> conn;
+    std::string frames;
+  };
+  std::vector<Entry> entries_;
+  size_t used_ = 0;
 };
 
 struct ShardQueue {
@@ -168,6 +211,7 @@ class Server::Impl {
     out["server.write_ops"] = write_ops_.load();
     out["server.reads_coalesced"] = reads_coalesced_.load();
     out["server.reads_inline"] = reads_inline_.load();
+    out["server.response_writes"] = response_writes_.load();
     uint64_t depth = 0;
     for (const auto& q : queues_) {
       util::MutexLock l(&q->mu);
@@ -499,7 +543,9 @@ class Server::Impl {
       Status s = router_->shard(last_staged_shard_)->Get(t.key, &value);
       shard_ops_[lone].fetch_add(1, std::memory_order_relaxed);
       reads_inline_.fetch_add(1, std::memory_order_relaxed);
-      SendGetResponse(t, s, value);
+      std::string frame;
+      AppendGetResponse(&frame, t.id, s, value);
+      SendFrames(t.conn, frame);
       staged_[lone].clear();
       staged_count_ = 0;
       return;
@@ -525,6 +571,7 @@ class Server::Impl {
   void ShardWorker(int idx) {
     ShardQueue& q = *queues_[static_cast<size_t>(idx)];
     std::deque<ShardTask> local;
+    Outbox outbox;
     for (;;) {
       {
         util::MutexLock l(&q.mu);
@@ -532,7 +579,14 @@ class Server::Impl {
         if (q.tasks.empty()) return;  // stopped and drained
         local.swap(q.tasks);
       }
-      ProcessRun(idx, &local);
+      ProcessRun(idx, &local, &outbox);
+      // Flush before the count drops: a shard the loop sees idle has
+      // answered every request it applied, not only applied them.
+      outbox.Drain([this](const std::shared_ptr<ServerConn>& conn,
+                          const std::string& frames) {
+        response_writes_.fetch_add(1, std::memory_order_relaxed);
+        SendFrames(conn, frames);
+      });
       // Release: an inline GET that reads zero sees this run's writes.
       unfinished_[idx].fetch_sub(static_cast<uint32_t>(local.size()),
                                  std::memory_order_release);
@@ -544,8 +598,9 @@ class Server::Impl {
   // happens: every queued write in the run — PUTs and DELETEs from any
   // number of connections, plus WRITE_BATCH slices — folds into one engine
   // Write, which is one WAL record group and one group-commit sync.
-  // Consecutive GETs fold into one MultiGet the same way.
-  void ProcessRun(int idx, std::deque<ShardTask>* tasks) {
+  // Consecutive GETs fold into one MultiGet the same way. Every response is
+  // encoded into *outbox, which the caller flushes after the run.
+  void ProcessRun(int idx, std::deque<ShardTask>* tasks, Outbox* outbox) {
     kv::Engine* eng = router_->shard(idx);
     shard_ops_[idx].fetch_add(tasks->size(), std::memory_order_relaxed);
     const size_t n = tasks->size();
@@ -583,9 +638,9 @@ class Server::Impl {
               util::MutexLock l(&w.fan->mu);
               if (w.fan->error.ok()) w.fan->error = s;
             }
-            CompleteFan(w.fan);
+            CompleteFan(w.fan, outbox);
           } else {
-            SendResponse(w.conn, ToWire(s), w.id, err);
+            EncodeResponse(outbox->For(w.conn), ToWire(s), w.id, err);
           }
         }
         i = j;
@@ -595,7 +650,7 @@ class Server::Impl {
         if (j - i == 1) {
           std::string value;
           Status s = eng->Get(t.key, &value);
-          SendGetResponse(t, s, value);
+          AppendGetResponse(outbox->For(t.conn), t.id, s, value);
         } else {
           std::vector<Slice> keys;
           keys.reserve(j - i);
@@ -604,29 +659,32 @@ class Server::Impl {
           std::vector<Status> sts = eng->MultiGet(keys, &vals);
           reads_coalesced_.fetch_add(j - i, std::memory_order_relaxed);
           for (size_t k = i; k < j; k++) {
-            SendGetResponse((*tasks)[k], sts[k - i], vals[k - i]);
+            const ShardTask& g = (*tasks)[k];
+            AppendGetResponse(outbox->For(g.conn), g.id, sts[k - i],
+                              vals[k - i]);
           }
         }
         i = j;
       } else {
-        ProcessSingle(eng, &t);
+        ProcessSingle(eng, &t, outbox);
         i++;
       }
     }
   }
 
-  void SendGetResponse(const ShardTask& t, const Status& s,
-                       const std::string& value) {
+  // Appends the response frame for a GET that returned (s, value).
+  static void AppendGetResponse(std::string* frames, uint64_t id,
+                                const Status& s, const std::string& value) {
     if (s.ok()) {
-      SendResponse(t.conn, WireStatus::kOk, t.id, value);
+      EncodeResponse(frames, WireStatus::kOk, id, value);
     } else if (s.IsNotFound()) {
-      SendResponse(t.conn, WireStatus::kNotFound, t.id, Slice());
+      EncodeResponse(frames, WireStatus::kNotFound, id, Slice());
     } else {
-      SendResponse(t.conn, WireStatus::kError, t.id, s.ToString());
+      EncodeResponse(frames, WireStatus::kError, id, s.ToString());
     }
   }
 
-  void ProcessSingle(kv::Engine* eng, ShardTask* t) {
+  void ProcessSingle(kv::Engine* eng, ShardTask* t, Outbox* outbox) {
     switch (t->op) {
       case OpCode::kRmw: {
         // Wire RMW is append-or-create: the one read-modify-write shape
@@ -638,7 +696,7 @@ class Server::Impl {
               return absent ? delta : old + delta;
             });
         std::string err = s.ok() ? std::string() : s.ToString();
-        SendResponse(t->conn, ToWire(s), t->id, err);
+        EncodeResponse(outbox->For(t->conn), ToWire(s), t->id, err);
         break;
       }
       case OpCode::kMultiGet: {
@@ -658,7 +716,7 @@ class Server::Impl {
             }
           }
         }
-        CompleteFan(t->fan);
+        CompleteFan(t->fan, outbox);
         break;
       }
       case OpCode::kScan: {
@@ -670,7 +728,7 @@ class Server::Impl {
           t->fan->scan_parts[static_cast<size_t>(t->scan_slot)] =
               std::move(part);
         }
-        CompleteFan(t->fan);
+        CompleteFan(t->fan, outbox);
         break;
       }
       case OpCode::kStats: {
@@ -680,37 +738,36 @@ class Server::Impl {
         for (const auto& [key, value] : stats) {
           AppendStatsResult(&body, key, value);
         }
-        SendResponse(t->conn, WireStatus::kOk, t->id, body);
+        EncodeResponse(outbox->For(t->conn), WireStatus::kOk, t->id, body);
         break;
       }
       default:
-        SendResponse(t->conn, WireStatus::kBadRequest, t->id, Slice());
+        EncodeResponse(outbox->For(t->conn), WireStatus::kBadRequest, t->id,
+                       Slice());
         break;
     }
   }
 
-  void CompleteFan(const std::shared_ptr<FanState>& fan) {
+  // The last sub-task to finish encodes the response into its worker's
+  // outbox.
+  void CompleteFan(const std::shared_ptr<FanState>& fan, Outbox* outbox) {
     if (fan->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-    std::string frame;
-    {
-      util::MutexLock l(&fan->mu);
-      std::string body;
-      WireStatus ws = WireStatus::kOk;
-      if (!fan->error.ok()) {
-        ws = WireStatus::kError;
-        body = fan->error.ToString();
-      } else if (fan->op == OpCode::kMultiGet) {
-        BeginCountedBody(&body, static_cast<uint32_t>(fan->mg_results.size()));
-        for (const auto& [found, value] : fan->mg_results) {
-          AppendMultiGetResult(&body, found, value);
-        }
-      } else if (fan->op == OpCode::kScan) {
-        MergeScanParts(fan->scan_parts, fan->scan_limit, &body);
+    util::MutexLock l(&fan->mu);
+    std::string body;
+    WireStatus ws = WireStatus::kOk;
+    if (!fan->error.ok()) {
+      ws = WireStatus::kError;
+      body = fan->error.ToString();
+    } else if (fan->op == OpCode::kMultiGet) {
+      BeginCountedBody(&body, static_cast<uint32_t>(fan->mg_results.size()));
+      for (const auto& [found, value] : fan->mg_results) {
+        AppendMultiGetResult(&body, found, value);
       }
-      // WRITE_BATCH success: empty body.
-      EncodeResponse(&frame, ws, fan->id, body);
+    } else if (fan->op == OpCode::kScan) {
+      MergeScanParts(fan->scan_parts, fan->scan_limit, &body);
     }
-    SendFrame(fan->conn, std::move(frame));
+    // WRITE_BATCH success: empty body.
+    EncodeResponse(outbox->For(fan->conn), ws, fan->id, body);
   }
 
   // K-way merge of the per-shard sorted scan results, truncated to `limit`.
@@ -746,38 +803,40 @@ class Server::Impl {
 
   // ---- response delivery ---------------------------------------------------
 
+  // The event loop's own replies: one frame, sent at once.
   void SendResponse(const std::shared_ptr<ServerConn>& conn, WireStatus ws,
                     uint64_t id, const Slice& body) {
     std::string frame;
     EncodeResponse(&frame, ws, id, body);
-    SendFrame(conn, std::move(frame));
+    SendFrames(conn, frame);
   }
 
-  // Appends a frame to the connection's out buffer and pushes as much as the
-  // (non-blocking) socket takes right now. On a full kernel buffer the
-  // event loop takes over via EPOLLOUT.
-  void SendFrame(const std::shared_ptr<ServerConn>& conn, std::string frame) {
+  // Pushes as much of `frames` as the (non-blocking) socket takes right now
+  // and keeps the rest in the connection's out buffer. On a full kernel
+  // buffer the event loop takes over via EPOLLOUT; until it has drained the
+  // backlog, later frames queue behind it.
+  void SendFrames(const std::shared_ptr<ServerConn>& conn,
+                  const std::string& frames) {
     bool wake = false;
     {
       util::MutexLock l(&conn->mu);
       if (conn->closed) return;
-      conn->out.append(frame);
-      if (!conn->want_write) {
-        size_t sent = 0;
-        net::IoResult r =
-            net::SendSome(conn->fd, conn->out.data(), conn->out.size(), &sent);
-        if (r == net::IoResult::kOk) {
-          bytes_out_.fetch_add(sent, std::memory_order_relaxed);
-          conn->out.erase(0, sent);
-        } else if (r == net::IoResult::kError) {
-          // Peer is gone; the loop reaps the fd on its EPOLLERR/HUP.
-          conn->out.clear();
-          return;
-        }
-        if (!conn->out.empty()) {
-          conn->want_write = true;
-          wake = true;
-        }
+      if (conn->want_write) {
+        conn->out.append(frames);
+        return;
+      }
+      size_t sent = 0;
+      net::IoResult r =
+          net::SendSome(conn->fd, frames.data(), frames.size(), &sent);
+      if (r == net::IoResult::kError) {
+        // Peer is gone; the loop reaps the fd on its EPOLLERR/HUP.
+        return;
+      }
+      bytes_out_.fetch_add(sent, std::memory_order_relaxed);
+      if (sent < frames.size()) {
+        conn->out.append(frames, sent, std::string::npos);
+        conn->want_write = true;
+        wake = true;
       }
     }
     if (wake) loop_.Wake();
@@ -816,6 +875,7 @@ class Server::Impl {
   std::atomic<uint64_t> write_ops_{0};       // client write requests in them
   std::atomic<uint64_t> reads_coalesced_{0};  // GETs served via MultiGet
   std::atomic<uint64_t> reads_inline_{0};     // lone GETs served by the loop
+  std::atomic<uint64_t> response_writes_{0};  // worker outbox flushes
   std::unique_ptr<std::atomic<uint64_t>[]> shard_ops_;
 };
 

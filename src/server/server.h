@@ -13,6 +13,12 @@
 // (server.syncs_per_op falls well below 1 under concurrent sync writers).
 // Consecutive GETs coalesce into one MultiGet the same way.
 //
+// Replies batch the same way. The worker encodes each response of a run
+// into its outbox, one buffer per connection, and after the run writes each
+// buffer with one send() (server.response_writes). It flushes before it
+// lowers the shard's unfinished-task count, so a shard that reads idle has
+// answered every request it applied.
+//
 // One exception skips the queue: when an iteration decodes exactly one
 // request, it is a GET, and its shard has no task queued or running, the
 // loop thread runs the Get itself and answers (server.reads_inline). An
@@ -21,8 +27,8 @@
 // for, is saved.
 //
 // Multi-shard requests (MULTIGET, WRITE_BATCH, SCAN) fan out one sub-task
-// per touched shard; the last shard to finish assembles and sends the
-// response. WRITE_BATCH is atomic per shard, not across shards — see
+// per touched shard; the last shard to finish assembles the response into
+// its own outbox. WRITE_BATCH is atomic per shard, not across shards — see
 // docs/wire_protocol.md.
 
 #include <cstdint>

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
@@ -280,6 +281,212 @@ TEST_F(ServerTest, LoneGetsRunInlineBurstsCoalesce) {
   std::map<std::string, uint64_t> burst;
   ASSERT_TRUE(client->Stats(&burst).ok());
   EXPECT_GT(burst["server.reads_coalesced"], after["server.reads_coalesced"]);
+}
+
+// A pipelined burst is answered through the shard workers' outboxes: one
+// socket write per connection per dequeued run, not one per response.
+TEST_F(ServerTest, BurstResponsesShareSocketWrites) {
+  StartServer(2);
+  auto client = NewClient();
+  constexpr int kPairs = 32;
+  for (int i = 0; i < kPairs; i++) {
+    ASSERT_TRUE(
+        client->Put("bg" + std::to_string(i), "bv" + std::to_string(i)).ok());
+  }
+  std::map<std::string, uint64_t> before;
+  ASSERT_TRUE(client->Stats(&before).ok());
+
+  // 64 requests in one Send: a GET of a stored key and a PUT of a new one,
+  // alternating.
+  std::string frames;
+  std::map<uint64_t, std::string> get_expect;  // GET id -> value
+  std::set<uint64_t> put_ids;
+  for (int i = 0; i < kPairs; i++) {
+    uint64_t get_id = client->NextId();
+    server::EncodeGet(&frames, get_id, "bg" + std::to_string(i));
+    get_expect[get_id] = "bv" + std::to_string(i);
+    uint64_t put_id = client->NextId();
+    server::EncodePut(&frames, put_id, "bp" + std::to_string(i),
+                      "pv" + std::to_string(i));
+    put_ids.insert(put_id);
+  }
+  ASSERT_TRUE(client->Send(frames).ok());
+  for (int i = 0; i < 2 * kPairs; i++) {
+    server::Response r;
+    ASSERT_TRUE(client->Recv(&r).ok());
+    ASSERT_EQ(r.status, server::WireStatus::kOk) << "id " << r.id;
+    auto it = get_expect.find(r.id);
+    if (it == get_expect.end()) {
+      ASSERT_EQ(put_ids.erase(r.id), 1u) << "duplicate or unknown id " << r.id;
+      EXPECT_TRUE(r.body.empty());
+      continue;
+    }
+    EXPECT_EQ(r.body, it->second) << "id " << r.id;
+    get_expect.erase(it);
+  }
+  EXPECT_TRUE(get_expect.empty());
+  EXPECT_TRUE(put_ids.empty());
+
+  std::map<std::string, uint64_t> after;
+  ASSERT_TRUE(client->Stats(&after).ok());
+  // The delta also holds the flush that answered the first STATS.
+  uint64_t writes =
+      after["server.response_writes"] - before["server.response_writes"];
+  EXPECT_GT(writes, 0u);
+  EXPECT_LT(writes, static_cast<uint64_t>(2 * kPairs));
+  for (int i = 0; i < kPairs; i++) {
+    std::string value;
+    ASSERT_TRUE(client->Get("bp" + std::to_string(i), &value).ok());
+    EXPECT_EQ(value, "pv" + std::to_string(i));
+  }
+}
+
+// Fan-out completions ride the same outboxes as point ops: a burst mixing
+// multi-shard MULTIGET, SCAN and WRITE_BATCH with PUTs and GETs answers every
+// request with the right body.
+TEST_F(ServerTest, BurstMixingFansAndPointOpsAllAnswered) {
+  StartServer(4);
+  auto client = NewClient();
+  constexpr int kSeeded = 32;
+  auto seeded = [](int i) {
+    char key[16];
+    snprintf(key, sizeof(key), "fa%02d", i);
+    return std::string(key);
+  };
+  for (int i = 0; i < kSeeded; i++) {
+    ASSERT_TRUE(client->Put(seeded(i), "sv" + std::to_string(i)).ok());
+  }
+
+  // Keys the burst writes ("pp", "wb" prefixes) sort after every seeded
+  // key, so scans that start inside the seeded range and stop within it see
+  // exactly the seeded rows.
+  enum Kind { kPut, kGet, kMultiGet, kScan, kWriteBatch };
+  struct Expect {
+    Kind kind;
+    int i;
+  };
+  constexpr int kRounds = 16;
+  constexpr uint32_t kScanLimit = 5;
+  std::string frames;
+  std::map<uint64_t, Expect> expect;
+  for (int i = 0; i < kRounds; i++) {
+    uint64_t id = client->NextId();
+    server::EncodePut(&frames, id, "pp" + std::to_string(i), "x");
+    expect[id] = {kPut, i};
+
+    std::vector<std::string> mg = {seeded(kSeeded - 1 - i), "missing",
+                                   seeded(i), seeded(i)};
+    id = client->NextId();
+    server::EncodeMultiGet(&frames, id, std::vector<Slice>(mg.begin(),
+                                                           mg.end()));
+    expect[id] = {kMultiGet, i};
+
+    id = client->NextId();
+    server::EncodeGet(&frames, id, seeded(i));
+    expect[id] = {kGet, i};
+
+    id = client->NextId();
+    server::EncodeScan(&frames, id, seeded(i), kScanLimit);
+    expect[id] = {kScan, i};
+
+    std::string a = "wb" + std::to_string(i) + "a";
+    std::string b = "wb" + std::to_string(i) + "b";
+    std::vector<server::WireBatchEntry> entries(2);
+    entries[0].key = a;
+    entries[0].value = "wa";
+    entries[1].key = b;
+    entries[1].value = "wb";
+    id = client->NextId();
+    server::EncodeWriteBatch(&frames, id, entries);
+    expect[id] = {kWriteBatch, i};
+  }
+  ASSERT_TRUE(client->Send(frames).ok());
+
+  const size_t total = expect.size();
+  for (size_t n = 0; n < total; n++) {
+    server::Response r;
+    ASSERT_TRUE(client->Recv(&r).ok());
+    auto it = expect.find(r.id);
+    ASSERT_NE(it, expect.end()) << "duplicate or unknown id " << r.id;
+    const int i = it->second.i;
+    ASSERT_EQ(r.status, server::WireStatus::kOk) << "id " << r.id;
+    switch (it->second.kind) {
+      case kPut:
+      case kWriteBatch:
+        EXPECT_TRUE(r.body.empty());
+        break;
+      case kGet:
+        EXPECT_EQ(r.body, "sv" + std::to_string(i));
+        break;
+      case kMultiGet: {
+        std::vector<std::pair<bool, std::string>> got;
+        ASSERT_TRUE(server::DecodeMultiGetBody(r.body, &got));
+        ASSERT_EQ(got.size(), 4u);
+        EXPECT_EQ(got[0], std::make_pair(
+                              true, "sv" + std::to_string(kSeeded - 1 - i)));
+        EXPECT_FALSE(got[1].first);
+        EXPECT_EQ(got[2], std::make_pair(true, "sv" + std::to_string(i)));
+        EXPECT_EQ(got[3], got[2]);
+        break;
+      }
+      case kScan: {
+        std::vector<std::pair<std::string, std::string>> rows;
+        ASSERT_TRUE(server::DecodeScanBody(r.body, &rows));
+        ASSERT_EQ(rows.size(), kScanLimit);
+        for (uint32_t k = 0; k < kScanLimit; k++) {
+          EXPECT_EQ(rows[k].first, seeded(i + static_cast<int>(k)));
+          EXPECT_EQ(rows[k].second, "sv" + std::to_string(i + k));
+        }
+        break;
+      }
+    }
+    expect.erase(it);
+  }
+  EXPECT_TRUE(expect.empty());
+
+  std::string value;
+  for (int i = 0; i < kRounds; i++) {
+    ASSERT_TRUE(client->Get("pp" + std::to_string(i), &value).ok());
+    EXPECT_EQ(value, "x");
+    ASSERT_TRUE(client->Get("wb" + std::to_string(i) + "a", &value).ok());
+    EXPECT_EQ(value, "wa");
+    ASSERT_TRUE(client->Get("wb" + std::to_string(i) + "b", &value).ok());
+    EXPECT_EQ(value, "wb");
+  }
+}
+
+// A client that hangs up while a large burst of responses is still being
+// written must cost the server nothing but that connection.
+TEST_F(ServerTest, PeerCloseMidBurstIsHarmless) {
+  StartServer(2);
+  const std::string big(16 * 1024, 'z');
+  {
+    auto client = NewClient();
+    for (int i = 0; i < 8; i++) {
+      ASSERT_TRUE(client->Put("big" + std::to_string(i), big).ok());
+    }
+    // About 6 MB of responses, more than the loopback socket buffers hold.
+    std::string frames;
+    for (int i = 0; i < 400; i++) {
+      server::EncodeGet(&frames, client->NextId(),
+                        "big" + std::to_string(i % 8));
+    }
+    ASSERT_TRUE(client->Send(frames).ok());
+    server::Response r;
+    ASSERT_TRUE(client->Recv(&r).ok());
+    EXPECT_EQ(r.body, big);
+  }  // closes with responses unread and in flight
+
+  auto client = NewClient();
+  ASSERT_TRUE(client->Put("after-close", "ok").ok());
+  std::string value;
+  ASSERT_TRUE(client->Get("after-close", &value).ok());
+  EXPECT_EQ(value, "ok");
+  ASSERT_TRUE(client->Get("big3", &value).ok());
+  EXPECT_EQ(value, big);
+  std::map<std::string, uint64_t> stats;
+  ASSERT_TRUE(client->Stats(&stats).ok());
+  EXPECT_GE(stats["server.conns_accepted"], 2u);
 }
 
 TEST_F(ServerTest, ConcurrentSyncWritersShareWalSyncs) {

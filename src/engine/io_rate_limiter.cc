@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 
 namespace blsm::engine {
 
@@ -205,69 +204,12 @@ class RateLimitedWritableFile final : public WritableFile {
 
 Status RateLimitedEnv::NewWritableFile(const std::string& fname,
                                        std::unique_ptr<WritableFile>* result) {
-  std::unique_ptr<WritableFile> base;
-  Status s = base_->NewWritableFile(fname, &base);
+  std::unique_ptr<WritableFile> file;
+  Status s = base()->NewWritableFile(fname, &file);
   if (!s.ok()) return s;
-  *result = std::make_unique<RateLimitedWritableFile>(std::move(base),
+  *result = std::make_unique<RateLimitedWritableFile>(std::move(file),
                                                       limiter_.get());
   return Status::OK();
-}
-
-// --- adaptive rate controller ------------------------------------------------
-
-AdaptiveRateController::AdaptiveRateController(
-    std::shared_ptr<IoRateLimiter> limiter, Options options)
-    : limiter_(std::move(limiter)), options_(options), current_(0) {
-  if (options_.max_bytes_per_second == 0 && limiter_ != nullptr) {
-    options_.max_bytes_per_second = limiter_->bytes_per_second();
-  }
-  if (options_.min_bytes_per_second == 0) {
-    options_.min_bytes_per_second = options_.max_bytes_per_second / 4;
-  }
-  // Degenerate configurations (no limiter, unlimited limiter, inverted
-  // watermarks or bounds) disable the loop rather than fight the user.
-  enabled_ = limiter_ != nullptr && options_.max_bytes_per_second > 0 &&
-             options_.min_bytes_per_second > 0 &&
-             options_.min_bytes_per_second <= options_.max_bytes_per_second &&
-             options_.low_watermark < options_.high_watermark;
-  if (enabled_) {
-    current_.store(limiter_->bytes_per_second(), std::memory_order_relaxed);
-  }
-}
-
-uint64_t AdaptiveRateController::Observe(double c0_fill) {
-  if (!enabled_) return current_.load(std::memory_order_relaxed);
-  double t;
-  if (c0_fill <= options_.low_watermark) {
-    t = 0.0;
-  } else if (c0_fill >= options_.high_watermark) {
-    t = 1.0;
-  } else {
-    t = (c0_fill - options_.low_watermark) /
-        (options_.high_watermark - options_.low_watermark);
-  }
-  uint64_t target =
-      options_.min_bytes_per_second +
-      static_cast<uint64_t>(
-          t * static_cast<double>(options_.max_bytes_per_second -
-                                  options_.min_bytes_per_second));
-  uint64_t cur = current_.load(std::memory_order_relaxed);
-  if (target == cur) return cur;
-  // Deadband: mid-range wiggle smaller than the threshold keeps the bucket's
-  // current period; the endpoints always land exactly.
-  bool endpoint = target == options_.min_bytes_per_second ||
-                  target == options_.max_bytes_per_second;
-  double change = cur > 0 ? std::fabs(static_cast<double>(target) -
-                                      static_cast<double>(cur)) /
-                                static_cast<double>(cur)
-                          : 1.0;
-  if (!endpoint && change < options_.deadband) return cur;
-  // One thread wins the re-target; losers see the updated value next round.
-  if (current_.compare_exchange_strong(cur, target,
-                                       std::memory_order_relaxed)) {
-    limiter_->SetBytesPerSecond(target);
-  }
-  return target;
 }
 
 }  // namespace blsm::engine

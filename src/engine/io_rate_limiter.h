@@ -109,50 +109,6 @@ class IoRateLimiter {
   std::atomic<uint64_t> wait_micros_{0};
 };
 
-// Feedback loop closing the spring over the global merge-IO arbiter: when C0
-// sits near empty, merges do not need their full bandwidth budget, and
-// ceding it leaves the device to foreground reads; as C0 fills toward the
-// high watermark, merge bandwidth ramps back up so the spring decompresses
-// before writers stall. Observe() maps the C0 fill fraction linearly between
-// the watermarks onto [min_bps, max_bps] and pushes the result into the
-// shared limiter. Off by default (BlsmOptions::adaptive_merge_rate); safe to
-// call from writer and merge threads concurrently.
-class AdaptiveRateController {
- public:
-  struct Options {
-    double low_watermark = 0.2;   // fill <= low  -> min_bytes_per_second
-    double high_watermark = 0.9;  // fill >= high -> max_bytes_per_second
-    uint64_t min_bytes_per_second = 0;  // 0 -> max / 4
-    uint64_t max_bytes_per_second = 0;  // 0 -> limiter's configured rate
-    // Re-target the limiter only for changes beyond this fraction of the
-    // current rate (endpoint targets always apply): the token bucket keeps
-    // a steady period instead of jittering on every observation.
-    double deadband = 0.10;
-  };
-
-  // A limiter currently set to unlimited (0) and an unset max disables the
-  // controller: there is no budget to scale.
-  AdaptiveRateController(std::shared_ptr<IoRateLimiter> limiter,
-                         Options options);
-  AdaptiveRateController(const AdaptiveRateController&) = delete;
-  AdaptiveRateController& operator=(const AdaptiveRateController&) = delete;
-
-  // Feeds one C0 fill observation (c0_live / c0_target, may exceed 1.0) and
-  // returns the merge rate now in force (for tests and stats).
-  uint64_t Observe(double c0_fill);
-
-  bool enabled() const { return enabled_; }
-  uint64_t current_rate() const {
-    return current_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::shared_ptr<IoRateLimiter> limiter_;
-  Options options_;
-  bool enabled_;
-  std::atomic<uint64_t> current_;
-};
-
 // RAII tag marking the calling thread's background I/O priority. The
 // RateLimitedEnv charges writes only on tagged threads, so foreground work
 // (WAL appends, user-facing manifest writes) passes through unmetered while
@@ -173,70 +129,22 @@ class ScopedIoPriority {
   int prev_;
 };
 
-// Env decorator in the CountingEnv mold: forwards everything, but wraps
-// writable files so that appends issued by an I/O-priority-tagged thread
-// first acquire tokens from the shared limiter. Reads are not metered — the
-// paper's robustness concern is merge *write* bandwidth crowding out
+// Env decorator that wraps writable files so that appends issued by an
+// I/O-priority-tagged thread first acquire tokens from the shared limiter;
+// every other call goes straight to the base Env. Reads are not metered —
+// the paper's robustness concern is merge *write* bandwidth crowding out
 // foreground work.
-class RateLimitedEnv final : public Env {
+class RateLimitedEnv final : public EnvWrapper {
  public:
   RateLimitedEnv(Env* base, std::shared_ptr<IoRateLimiter> limiter)
-      : base_(base), limiter_(std::move(limiter)) {}
+      : EnvWrapper(base), limiter_(std::move(limiter)) {}
 
-  Status NewSequentialFile(const std::string& fname,
-                           std::unique_ptr<SequentialFile>* result) override {
-    return base_->NewSequentialFile(fname, result);
-  }
-  Status NewRandomAccessFile(
-      const std::string& fname,
-      std::unique_ptr<RandomAccessFile>* result) override {
-    return base_->NewRandomAccessFile(fname, result);
-  }
   Status NewWritableFile(const std::string& fname,
                          std::unique_ptr<WritableFile>* result) override;
-  Status NewRandomRWFile(const std::string& fname,
-                         std::unique_ptr<RandomRWFile>* result) override {
-    return base_->NewRandomRWFile(fname, result);
-  }
-
-  bool FileExists(const std::string& fname) override {
-    return base_->FileExists(fname);
-  }
-  Status GetChildren(const std::string& dir,
-                     std::vector<std::string>* result) override {
-    return base_->GetChildren(dir, result);
-  }
-  Status RemoveFile(const std::string& fname) override {
-    return base_->RemoveFile(fname);
-  }
-  Status CreateDir(const std::string& dirname) override {
-    return base_->CreateDir(dirname);
-  }
-  Status RemoveDir(const std::string& dirname) override {
-    return base_->RemoveDir(dirname);
-  }
-  Status RemoveDirRecursive(const std::string& dirname) override {
-    return base_->RemoveDirRecursive(dirname);
-  }
-  Status GetFileSize(const std::string& fname, uint64_t* size) override {
-    return base_->GetFileSize(fname, size);
-  }
-  Status RenameFile(const std::string& src,
-                    const std::string& target) override {
-    return base_->RenameFile(src, target);
-  }
-  uint64_t NowMicros() override { return base_->NowMicros(); }
-  void SleepForMicroseconds(uint64_t micros) override {
-    base_->SleepForMicroseconds(micros);
-  }
-  const EnvIoCounters* io_counters() const override {
-    return base_->io_counters();
-  }
 
   IoRateLimiter* limiter() { return limiter_.get(); }
 
  private:
-  Env* base_;
   std::shared_ptr<IoRateLimiter> limiter_;
 };
 

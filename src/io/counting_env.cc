@@ -179,38 +179,38 @@ class CountingRandomRWFile final : public RandomRWFile {
 
 Status CountingEnv::NewSequentialFile(const std::string& fname,
                                       std::unique_ptr<SequentialFile>* result) {
-  std::unique_ptr<SequentialFile> base;
-  Status s = base_->NewSequentialFile(fname, &base);
+  std::unique_ptr<SequentialFile> file;
+  Status s = base()->NewSequentialFile(fname, &file);
   if (!s.ok()) return s;
-  *result = std::make_unique<CountingSequentialFile>(std::move(base), stats_);
+  *result = std::make_unique<CountingSequentialFile>(std::move(file), stats_);
   return Status::OK();
 }
 
 Status CountingEnv::NewRandomAccessFile(
     const std::string& fname, std::unique_ptr<RandomAccessFile>* result) {
-  std::unique_ptr<RandomAccessFile> base;
-  Status s = base_->NewRandomAccessFile(fname, &base);
+  std::unique_ptr<RandomAccessFile> file;
+  Status s = base()->NewRandomAccessFile(fname, &file);
   if (!s.ok()) return s;
   *result =
-      std::make_unique<CountingRandomAccessFile>(std::move(base), stats_);
+      std::make_unique<CountingRandomAccessFile>(std::move(file), stats_);
   return Status::OK();
 }
 
 Status CountingEnv::NewWritableFile(const std::string& fname,
                                     std::unique_ptr<WritableFile>* result) {
-  std::unique_ptr<WritableFile> base;
-  Status s = base_->NewWritableFile(fname, &base);
+  std::unique_ptr<WritableFile> file;
+  Status s = base()->NewWritableFile(fname, &file);
   if (!s.ok()) return s;
-  *result = std::make_unique<CountingWritableFile>(std::move(base), stats_);
+  *result = std::make_unique<CountingWritableFile>(std::move(file), stats_);
   return Status::OK();
 }
 
 Status CountingEnv::NewRandomRWFile(const std::string& fname,
                                     std::unique_ptr<RandomRWFile>* result) {
-  std::unique_ptr<RandomRWFile> base;
-  Status s = base_->NewRandomRWFile(fname, &base);
+  std::unique_ptr<RandomRWFile> file;
+  Status s = base()->NewRandomRWFile(fname, &file);
   if (!s.ok()) return s;
-  *result = std::make_unique<CountingRandomRWFile>(std::move(base), stats_);
+  *result = std::make_unique<CountingRandomRWFile>(std::move(file), stats_);
   return Status::OK();
 }
 

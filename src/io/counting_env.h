@@ -54,9 +54,9 @@ struct IoStats {
 
 // Env decorator: forwards everything to a base Env while classifying and
 // counting each file access into an IoStats owned by the caller.
-class CountingEnv final : public Env {
+class CountingEnv final : public EnvWrapper {
  public:
-  CountingEnv(Env* base, IoStats* stats) : base_(base), stats_(stats) {}
+  CountingEnv(Env* base, IoStats* stats) : EnvWrapper(base), stats_(stats) {}
 
   Status NewSequentialFile(const std::string& fname,
                            std::unique_ptr<SequentialFile>* result) override;
@@ -68,45 +68,9 @@ class CountingEnv final : public Env {
   Status NewRandomRWFile(const std::string& fname,
                          std::unique_ptr<RandomRWFile>* result) override;
 
-  bool FileExists(const std::string& fname) override {
-    return base_->FileExists(fname);
-  }
-  Status GetChildren(const std::string& dir,
-                     std::vector<std::string>* result) override {
-    return base_->GetChildren(dir, result);
-  }
-  Status RemoveFile(const std::string& fname) override {
-    return base_->RemoveFile(fname);
-  }
-  Status CreateDir(const std::string& dirname) override {
-    return base_->CreateDir(dirname);
-  }
-  Status RemoveDir(const std::string& dirname) override {
-    return base_->RemoveDir(dirname);
-  }
-  Status RemoveDirRecursive(const std::string& dirname) override {
-    return base_->RemoveDirRecursive(dirname);
-  }
-  Status GetFileSize(const std::string& fname, uint64_t* size) override {
-    return base_->GetFileSize(fname, size);
-  }
-  Status RenameFile(const std::string& src,
-                    const std::string& target) override {
-    return base_->RenameFile(src, target);
-  }
-  uint64_t NowMicros() override { return base_->NowMicros(); }
-  void SleepForMicroseconds(uint64_t micros) override {
-    base_->SleepForMicroseconds(micros);
-  }
-
-  const EnvIoCounters* io_counters() const override {
-    return base_->io_counters();
-  }
-
   IoStats* stats() { return stats_; }
 
  private:
-  Env* base_;
   IoStats* stats_;
 };
 

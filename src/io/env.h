@@ -109,9 +109,10 @@ class RandomRWFile {
 };
 
 // Cumulative data-path totals owned by a terminal Env implementation
-// (posix, uring, mem). Decorator Envs forward io_counters() to their base,
-// so whatever wrapper stack an engine runs on, Engine::Stats() reports the
-// totals of the environment that actually touched the bytes.
+// (posix, uring, mem). Decorator Envs forward io_counters() to their base
+// (EnvWrapper does it for them), so whatever wrapper stack an engine runs
+// on, Engine::Stats() reports the totals of the environment that actually
+// touched the bytes.
 struct EnvIoCounters {
   std::atomic<uint64_t> read_bytes{0};
   std::atomic<uint64_t> write_bytes{0};
@@ -176,8 +177,8 @@ class Env {
   virtual Status RemoveDir(const std::string& dirname) = 0;
   // Removes `dirname` and everything under it, to any depth. A missing
   // directory is success (the desired state already holds). The default
-  // walks GetChildren depth-first; environments whose GetChildren does not
-  // surface subdirectories (MemEnv) override it.
+  // walks GetChildren depth-first; MemEnv overrides it to also clear
+  // directories that were never created explicitly.
   virtual Status RemoveDirRecursive(const std::string& dirname);
   virtual Status GetFileSize(const std::string& fname, uint64_t* size) = 0;
   virtual Status RenameFile(const std::string& src,
@@ -193,6 +194,80 @@ class Env {
 
   // Process-wide default environment (POSIX). Never deleted.
   static Env* Default();
+};
+
+// The one forwarding base for Env decorators: every Env call goes to the
+// wrapped `base`, so a decorator overrides only the calls whose behaviour
+// it changes and can never drift out of step with the interface.
+//
+// There is deliberately no file-level counterpart. The file interfaces'
+// defaults (AppendV as an Append loop, MultiRead as a Read loop,
+// ReadAheadHint as a no-op) route through a file decorator's own
+// overrides; forwarding them to the wrapped file instead would silently
+// bypass per-fragment fault rolls or a forced-serial MultiRead.
+class EnvWrapper : public Env {
+ public:
+  explicit EnvWrapper(Env* base) : base_(base) {}
+
+  Status NewSequentialFile(const std::string& fname,
+                           std::unique_ptr<SequentialFile>* result) override {
+    return base_->NewSequentialFile(fname, result);
+  }
+  Status NewRandomAccessFile(
+      const std::string& fname,
+      std::unique_ptr<RandomAccessFile>* result) override {
+    return base_->NewRandomAccessFile(fname, result);
+  }
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    return base_->NewWritableFile(fname, result);
+  }
+  Status NewRandomRWFile(const std::string& fname,
+                         std::unique_ptr<RandomRWFile>* result) override {
+    return base_->NewRandomRWFile(fname, result);
+  }
+
+  bool FileExists(const std::string& fname) override {
+    return base_->FileExists(fname);
+  }
+  Status GetChildren(const std::string& dir,
+                     std::vector<std::string>* result) override {
+    return base_->GetChildren(dir, result);
+  }
+  Status RemoveFile(const std::string& fname) override {
+    return base_->RemoveFile(fname);
+  }
+  Status CreateDir(const std::string& dirname) override {
+    return base_->CreateDir(dirname);
+  }
+  Status RemoveDir(const std::string& dirname) override {
+    return base_->RemoveDir(dirname);
+  }
+  Status RemoveDirRecursive(const std::string& dirname) override {
+    return base_->RemoveDirRecursive(dirname);
+  }
+  Status GetFileSize(const std::string& fname, uint64_t* size) override {
+    return base_->GetFileSize(fname, size);
+  }
+  Status RenameFile(const std::string& src,
+                    const std::string& target) override {
+    return base_->RenameFile(src, target);
+  }
+
+  uint64_t NowMicros() override { return base_->NowMicros(); }
+  void SleepForMicroseconds(uint64_t micros) override {
+    base_->SleepForMicroseconds(micros);
+  }
+
+  const EnvIoCounters* io_counters() const override {
+    return base_->io_counters();
+  }
+
+ protected:
+  Env* base() const { return base_; }
+
+ private:
+  Env* const base_;
 };
 
 // Convenience helpers.

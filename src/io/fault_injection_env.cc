@@ -301,10 +301,10 @@ Status FaultInjectionEnv::NewSequentialFile(
     const std::string& fname, std::unique_ptr<SequentialFile>* result) {
   Status s = CheckOp(FaultOpClass::kOpen, fname);
   if (!s.ok()) return s;
-  std::unique_ptr<SequentialFile> base;
-  s = base_->NewSequentialFile(fname, &base);
+  std::unique_ptr<SequentialFile> file;
+  s = base()->NewSequentialFile(fname, &file);
   if (!s.ok()) return s;
-  *result = std::make_unique<FaultSequentialFile>(std::move(base), this, fname);
+  *result = std::make_unique<FaultSequentialFile>(std::move(file), this, fname);
   return Status::OK();
 }
 
@@ -312,11 +312,11 @@ Status FaultInjectionEnv::NewRandomAccessFile(
     const std::string& fname, std::unique_ptr<RandomAccessFile>* result) {
   Status s = CheckOp(FaultOpClass::kOpen, fname);
   if (!s.ok()) return s;
-  std::unique_ptr<RandomAccessFile> base;
-  s = base_->NewRandomAccessFile(fname, &base);
+  std::unique_ptr<RandomAccessFile> file;
+  s = base()->NewRandomAccessFile(fname, &file);
   if (!s.ok()) return s;
   *result =
-      std::make_unique<FaultRandomAccessFile>(std::move(base), this, fname);
+      std::make_unique<FaultRandomAccessFile>(std::move(file), this, fname);
   return Status::OK();
 }
 
@@ -324,10 +324,10 @@ Status FaultInjectionEnv::NewWritableFile(
     const std::string& fname, std::unique_ptr<WritableFile>* result) {
   Status s = CheckOp(FaultOpClass::kOpen, fname);
   if (!s.ok()) return s;
-  std::unique_ptr<WritableFile> base;
-  s = base_->NewWritableFile(fname, &base);
+  std::unique_ptr<WritableFile> file;
+  s = base()->NewWritableFile(fname, &file);
   if (!s.ok()) return s;
-  *result = std::make_unique<FaultWritableFile>(std::move(base), this, fname);
+  *result = std::make_unique<FaultWritableFile>(std::move(file), this, fname);
   return Status::OK();
 }
 
@@ -335,10 +335,10 @@ Status FaultInjectionEnv::NewRandomRWFile(
     const std::string& fname, std::unique_ptr<RandomRWFile>* result) {
   Status s = CheckOp(FaultOpClass::kOpen, fname);
   if (!s.ok()) return s;
-  std::unique_ptr<RandomRWFile> base;
-  s = base_->NewRandomRWFile(fname, &base);
+  std::unique_ptr<RandomRWFile> file;
+  s = base()->NewRandomRWFile(fname, &file);
   if (!s.ok()) return s;
-  *result = std::make_unique<FaultRandomRWFile>(std::move(base), this, fname);
+  *result = std::make_unique<FaultRandomRWFile>(std::move(file), this, fname);
   return Status::OK();
 }
 
@@ -347,26 +347,26 @@ Status FaultInjectionEnv::RemoveFile(const std::string& fname) {
   // unlink actually happening, and a silent no-op would leak orphans.
   Status s = CheckOp(FaultOpClass::kMetadata, fname);
   if (!s.ok()) return s;
-  return base_->RemoveFile(fname);
+  return base()->RemoveFile(fname);
 }
 
 Status FaultInjectionEnv::CreateDir(const std::string& dirname) {
   Status s = CheckOp(FaultOpClass::kMetadata, dirname);
   if (!s.ok()) return s;
-  return base_->CreateDir(dirname);
+  return base()->CreateDir(dirname);
 }
 
 Status FaultInjectionEnv::RemoveDir(const std::string& dirname) {
   Status s = CheckOp(FaultOpClass::kMetadata, dirname);
   if (!s.ok()) return s;
-  return base_->RemoveDir(dirname);
+  return base()->RemoveDir(dirname);
 }
 
 Status FaultInjectionEnv::RenameFile(const std::string& src,
                                      const std::string& target) {
   Status s = CheckOp(FaultOpClass::kMetadata, src);
   if (!s.ok()) return s;
-  return base_->RenameFile(src, target);
+  return base()->RenameFile(src, target);
 }
 
 }  // namespace blsm

@@ -77,9 +77,9 @@ struct FaultPolicy {
 // Heal() clears both. Benign metadata queries (FileExists, GetChildren,
 // GetFileSize) and the clock are never failed: a broken disk still answers
 // stat-ish queries in practice, and failing them mostly tests the test.
-class FaultInjectionEnv final : public Env {
+class FaultInjectionEnv final : public EnvWrapper {
  public:
-  explicit FaultInjectionEnv(Env* base) : base_(base) {}
+  explicit FaultInjectionEnv(Env* base) : EnvWrapper(base) {}
 
   // Arms the deterministic fault: the next `ops` data operations succeed,
   // everything after fails.
@@ -123,31 +123,17 @@ class FaultInjectionEnv final : public Env {
   Status NewRandomRWFile(const std::string& fname,
                          std::unique_ptr<RandomRWFile>* result) override;
 
-  bool FileExists(const std::string& fname) override {
-    return base_->FileExists(fname);
-  }
-  Status GetChildren(const std::string& dir,
-                     std::vector<std::string>* result) override {
-    return base_->GetChildren(dir, result);
-  }
   Status RemoveFile(const std::string& fname) override;
   Status CreateDir(const std::string& dirname) override;
-  // Recursion uses the base-class GetChildren walk, so each RemoveFile /
-  // RemoveDir along the way rolls the metadata fault dice individually.
   Status RemoveDir(const std::string& dirname) override;
-  Status GetFileSize(const std::string& fname, uint64_t* size) override {
-    return base_->GetFileSize(fname, size);
+  // Env's default GetChildren walk, not the wrapped Env's own recursion, so
+  // each RemoveFile / RemoveDir along the way rolls the metadata fault dice
+  // individually.
+  Status RemoveDirRecursive(const std::string& dirname) override {
+    return Env::RemoveDirRecursive(dirname);
   }
   Status RenameFile(const std::string& src,
                     const std::string& target) override;
-
-  uint64_t NowMicros() override { return base_->NowMicros(); }
-  void SleepForMicroseconds(uint64_t micros) override {
-    base_->SleepForMicroseconds(micros);
-  }
-  const EnvIoCounters* io_counters() const override {
-    return base_->io_counters();
-  }
 
   // Returns OK while healthy; decrements the deterministic countdown and
   // returns IOError once tripped. Exposed for the file wrappers.
@@ -177,7 +163,6 @@ class FaultInjectionEnv final : public Env {
   bool Roll(double prob);  // true with probability `prob` (seeded RNG)
   bool SilentFaultsApply(const std::string& fname);
 
-  Env* base_;
   std::atomic<bool> armed_{false};
   std::atomic<int64_t> remaining_{0};
   std::atomic<uint64_t> faults_{0};

@@ -209,13 +209,25 @@ Status MemEnv::GetChildren(const std::string& dir,
   result->clear();
   std::string prefix = dir;
   if (!prefix.empty() && prefix.back() != '/') prefix += '/';
-  for (const auto& [name, fs] : files_) {
-    (void)fs;
-    if (name.size() > prefix.size() && name.compare(0, prefix.size(), prefix) == 0) {
-      std::string rest = name.substr(prefix.size());
-      if (rest.find('/') == std::string::npos) result->push_back(rest);
-    }
+  // Like readdir: files directly under `dir` plus the first path component
+  // of anything deeper (a subdirectory, whether created or implied by a
+  // nested file name), so Env's default RemoveDirRecursive walk sees it all;
+  // a missing directory is NotFound and a plain file is not a directory.
+  if (files_.count(dir) > 0) {
+    return Status::IOError(dir + ": not a directory");
   }
+  std::set<std::string> children;
+  auto add = [&](const std::string& name) {
+    if (name.size() > prefix.size() &&
+        name.compare(0, prefix.size(), prefix) == 0) {
+      std::string rest = name.substr(prefix.size());
+      children.insert(rest.substr(0, rest.find('/')));
+    }
+  };
+  for (const auto& entry : files_) add(entry.first);
+  for (const std::string& name : dirs_) add(name);
+  if (children.empty() && dirs_.count(dir) == 0) return Status::NotFound(dir);
+  result->assign(children.begin(), children.end());
   return Status::OK();
 }
 

@@ -36,9 +36,9 @@ class MemEnv final : public Env {
   Status RemoveFile(const std::string& fname) override;
   Status CreateDir(const std::string& dirname) override;
   Status RemoveDir(const std::string& dirname) override;
-  // Overridden because GetChildren only lists direct files (dirs_ is a flat
-  // set, nested files are invisible to the default walk): erase everything
-  // under the path prefix instead.
+  // Overridden to erase everything under the path prefix in one step: a
+  // file here needs no explicitly created parent, and the default walk's
+  // RemoveDir of such an implied directory would report NotFound.
   Status RemoveDirRecursive(const std::string& dirname) override;
   Status GetFileSize(const std::string& fname, uint64_t* size) override;
   Status RenameFile(const std::string& src,

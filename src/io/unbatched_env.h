@@ -39,69 +39,20 @@ class UnbatchedRandomAccessFile final : public RandomAccessFile {
 
 }  // namespace unbatched_internal
 
-class UnbatchedEnv final : public Env {
+class UnbatchedEnv final : public EnvWrapper {
  public:
-  explicit UnbatchedEnv(Env* base) : base_(base) {}
+  explicit UnbatchedEnv(Env* base) : EnvWrapper(base) {}
 
-  Status NewSequentialFile(const std::string& fname,
-                           std::unique_ptr<SequentialFile>* result) override {
-    return base_->NewSequentialFile(fname, result);
-  }
   Status NewRandomAccessFile(
       const std::string& fname,
       std::unique_ptr<RandomAccessFile>* result) override {
     std::unique_ptr<RandomAccessFile> file;
-    Status s = base_->NewRandomAccessFile(fname, &file);
+    Status s = base()->NewRandomAccessFile(fname, &file);
     if (!s.ok()) return s;
     *result = std::make_unique<unbatched_internal::UnbatchedRandomAccessFile>(
         std::move(file));
     return Status::OK();
   }
-  Status NewWritableFile(const std::string& fname,
-                         std::unique_ptr<WritableFile>* result) override {
-    return base_->NewWritableFile(fname, result);
-  }
-  Status NewRandomRWFile(const std::string& fname,
-                         std::unique_ptr<RandomRWFile>* result) override {
-    return base_->NewRandomRWFile(fname, result);
-  }
-
-  bool FileExists(const std::string& fname) override {
-    return base_->FileExists(fname);
-  }
-  Status GetChildren(const std::string& dir,
-                     std::vector<std::string>* result) override {
-    return base_->GetChildren(dir, result);
-  }
-  Status RemoveFile(const std::string& fname) override {
-    return base_->RemoveFile(fname);
-  }
-  Status CreateDir(const std::string& dirname) override {
-    return base_->CreateDir(dirname);
-  }
-  Status RemoveDir(const std::string& dirname) override {
-    return base_->RemoveDir(dirname);
-  }
-  Status RemoveDirRecursive(const std::string& dirname) override {
-    return base_->RemoveDirRecursive(dirname);
-  }
-  Status GetFileSize(const std::string& fname, uint64_t* size) override {
-    return base_->GetFileSize(fname, size);
-  }
-  Status RenameFile(const std::string& src,
-                    const std::string& target) override {
-    return base_->RenameFile(src, target);
-  }
-  uint64_t NowMicros() override { return base_->NowMicros(); }
-  void SleepForMicroseconds(uint64_t micros) override {
-    base_->SleepForMicroseconds(micros);
-  }
-  const EnvIoCounters* io_counters() const override {
-    return base_->io_counters();
-  }
-
- private:
-  Env* base_;
 };
 
 }  // namespace blsm

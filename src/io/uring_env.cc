@@ -704,7 +704,7 @@ bool UringEnv::Supported() {
 }
 
 UringEnv::UringEnv(Env* base, UringEnvOptions options)
-    : base_(base != nullptr ? base : Env::Default()),
+    : EnvWrapper(base != nullptr ? base : Env::Default()),
       options_(options),
       uring_ok_(Supported()) {}
 
@@ -712,7 +712,7 @@ UringEnv::~UringEnv() = default;
 
 Status UringEnv::NewRandomAccessFile(
     const std::string& fname, std::unique_ptr<RandomAccessFile>* result) {
-  if (!uring_ok_) return base_->NewRandomAccessFile(fname, result);
+  if (!uring_ok_) return base()->NewRandomAccessFile(fname, result);
   bool direct = options_.direct_io;
   int flags = O_RDONLY | O_CLOEXEC;
 #if defined(O_DIRECT)
@@ -732,7 +732,7 @@ Status UringEnv::NewRandomAccessFile(
     // Per-file ring exhaustion (fd or memlock limits): this file falls back
     // to the base env's synchronous reads.
     close(fd);
-    return base_->NewRandomAccessFile(fname, result);
+    return base()->NewRandomAccessFile(fname, result);
   }
   *result = std::make_unique<UringRandomAccessFile>(
       fname, fd, std::move(queue), direct, options_.direct_io_alignment,
@@ -742,7 +742,7 @@ Status UringEnv::NewRandomAccessFile(
 
 Status UringEnv::NewWritableFile(const std::string& fname,
                                  std::unique_ptr<WritableFile>* result) {
-  if (!uring_ok_) return base_->NewWritableFile(fname, result);
+  if (!uring_ok_) return base()->NewWritableFile(fname, result);
   bool direct = options_.direct_io;
   int flags = O_TRUNC | O_WRONLY | O_CREAT | O_CLOEXEC;
 #if defined(O_DIRECT)
@@ -767,7 +767,7 @@ Status UringEnv::NewWritableFile(const std::string& fname,
 }
 
 const EnvIoCounters* UringEnv::io_counters() const {
-  return uring_ok_ ? &counters_ : base_->io_counters();
+  return uring_ok_ ? &counters_ : base()->io_counters();
 }
 
 #else  // !BLSM_URING_RUNTIME
@@ -775,7 +775,7 @@ const EnvIoCounters* UringEnv::io_counters() const {
 bool UringEnv::Supported() { return false; }
 
 UringEnv::UringEnv(Env* base, UringEnvOptions options)
-    : base_(base != nullptr ? base : Env::Default()),
+    : EnvWrapper(base != nullptr ? base : Env::Default()),
       options_(options),
       uring_ok_(false) {}
 
@@ -783,59 +783,18 @@ UringEnv::~UringEnv() = default;
 
 Status UringEnv::NewRandomAccessFile(
     const std::string& fname, std::unique_ptr<RandomAccessFile>* result) {
-  return base_->NewRandomAccessFile(fname, result);
+  return base()->NewRandomAccessFile(fname, result);
 }
 
 Status UringEnv::NewWritableFile(const std::string& fname,
                                  std::unique_ptr<WritableFile>* result) {
-  return base_->NewWritableFile(fname, result);
+  return base()->NewWritableFile(fname, result);
 }
 
 const EnvIoCounters* UringEnv::io_counters() const {
-  return base_->io_counters();
+  return base()->io_counters();
 }
 
 #endif  // BLSM_URING_RUNTIME
-
-// Sequential reads (log recovery) and RW files (B-tree pages) gain little
-// from ring batching; they delegate, as does all metadata.
-Status UringEnv::NewSequentialFile(const std::string& fname,
-                                   std::unique_ptr<SequentialFile>* result) {
-  return base_->NewSequentialFile(fname, result);
-}
-Status UringEnv::NewRandomRWFile(const std::string& fname,
-                                 std::unique_ptr<RandomRWFile>* result) {
-  return base_->NewRandomRWFile(fname, result);
-}
-bool UringEnv::FileExists(const std::string& fname) {
-  return base_->FileExists(fname);
-}
-Status UringEnv::GetChildren(const std::string& dir,
-                             std::vector<std::string>* result) {
-  return base_->GetChildren(dir, result);
-}
-Status UringEnv::RemoveFile(const std::string& fname) {
-  return base_->RemoveFile(fname);
-}
-Status UringEnv::CreateDir(const std::string& dirname) {
-  return base_->CreateDir(dirname);
-}
-Status UringEnv::RemoveDir(const std::string& dirname) {
-  return base_->RemoveDir(dirname);
-}
-Status UringEnv::RemoveDirRecursive(const std::string& dirname) {
-  return base_->RemoveDirRecursive(dirname);
-}
-Status UringEnv::GetFileSize(const std::string& fname, uint64_t* size) {
-  return base_->GetFileSize(fname, size);
-}
-Status UringEnv::RenameFile(const std::string& src,
-                            const std::string& target) {
-  return base_->RenameFile(src, target);
-}
-uint64_t UringEnv::NowMicros() { return base_->NowMicros(); }
-void UringEnv::SleepForMicroseconds(uint64_t micros) {
-  base_->SleepForMicroseconds(micros);
-}
 
 }  // namespace blsm

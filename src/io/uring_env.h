@@ -28,8 +28,9 @@ struct UringEnvOptions {
 // Env backed by io_uring (raw syscalls; no liburing dependency): each
 // random-access file owns a submission/completion ring, so a MultiRead of N
 // blocks is one batched SQE submission + one io_uring_enter instead of N
-// pread syscalls. Metadata operations and sequential files delegate to
-// `base` (Env::Default() when null).
+// pread syscalls. Sequential and RW files (log recovery, B-tree pages),
+// which gain little from ring batching, and all metadata operations
+// delegate to `base` (Env::Default() when null) through EnvWrapper.
 //
 // Fallback matrix (every row keeps the full Env contract):
 //   * kernel without io_uring / sandboxed io_uring_setup  -> pure
@@ -39,7 +40,7 @@ struct UringEnvOptions {
 //   * filesystem rejects O_DIRECT (tmpfs)                  -> that file
 //     reopens buffered, ring submission retained.
 // using_uring() reports which side of the first fork this env landed on.
-class UringEnv final : public Env {
+class UringEnv final : public EnvWrapper {
  public:
   explicit UringEnv(Env* base = nullptr, UringEnvOptions options = {});
   ~UringEnv() override;
@@ -53,33 +54,15 @@ class UringEnv final : public Env {
 
   bool using_uring() const { return uring_ok_; }
 
-  Status NewSequentialFile(const std::string& fname,
-                           std::unique_ptr<SequentialFile>* result) override;
   Status NewRandomAccessFile(
       const std::string& fname,
       std::unique_ptr<RandomAccessFile>* result) override;
   Status NewWritableFile(const std::string& fname,
                          std::unique_ptr<WritableFile>* result) override;
-  Status NewRandomRWFile(const std::string& fname,
-                         std::unique_ptr<RandomRWFile>* result) override;
-
-  bool FileExists(const std::string& fname) override;
-  Status GetChildren(const std::string& dir,
-                     std::vector<std::string>* result) override;
-  Status RemoveFile(const std::string& fname) override;
-  Status CreateDir(const std::string& dirname) override;
-  Status RemoveDir(const std::string& dirname) override;
-  Status RemoveDirRecursive(const std::string& dirname) override;
-  Status GetFileSize(const std::string& fname, uint64_t* size) override;
-  Status RenameFile(const std::string& src,
-                    const std::string& target) override;
-  uint64_t NowMicros() override;
-  void SleepForMicroseconds(uint64_t micros) override;
 
   const EnvIoCounters* io_counters() const override;
 
  private:
-  Env* base_;
   UringEnvOptions options_;
   bool uring_ok_;
   EnvIoCounters counters_;

@@ -28,10 +28,6 @@ BlsmTree::BlsmTree(const BlsmOptions& options, std::string dir)
     rate_limited_env_ = std::make_unique<engine::RateLimitedEnv>(
         env_, options_.io_rate_limiter);
     env_ = rate_limited_env_.get();
-    if (options_.adaptive_merge_rate) {
-      rate_controller_ = std::make_unique<engine::AdaptiveRateController>(
-          options_.io_rate_limiter, options_.adaptive_rate);
-    }
   }
   if (options_.shared_block_cache != nullptr) {
     cache_ = options_.shared_block_cache;
@@ -298,7 +294,6 @@ void BlsmTree::ApplyBackpressure() {
     // must escape the stall and report the error instead of hanging.
     if (!runner_->BackgroundError().ok()) break;
     SchedulerState state = ComputeSchedulerState();
-    if (rate_controller_ != nullptr) rate_controller_->Observe(state.c0_fill());
     if (!scheduler_->WriteBlocked(state)) {
       uint64_t delay = scheduler_->WriteDelayMicros(state);
       if (delay > 0) {
@@ -874,7 +869,6 @@ bool BlsmTree::MergePauseWait(int which) {
       return true;  // foreground compaction / drain override
     }
     SchedulerState state = ComputeSchedulerState();
-    if (rate_controller_ != nullptr) rate_controller_->Observe(state.c0_fill());
     bool paused = (which == 1) ? scheduler_->PauseMerge1(state)
                                : scheduler_->PauseMerge2(state);
     if (!paused) return true;

@@ -90,13 +90,6 @@ struct BlsmOptions {
   // IoPriority class, so all trees on one disk draw from one budget.
   // Foreground I/O (WAL, user-facing manifest writes) is not metered.
   std::shared_ptr<engine::IoRateLimiter> io_rate_limiter;
-
-  // Closes the loop over io_rate_limiter: the scheduler checkpoints feed the
-  // C0 fill fraction into an AdaptiveRateController, scaling merge bandwidth
-  // between adaptive_rate (or the limiter's defaults when zeroed) as C0
-  // drains and refills. Requires io_rate_limiter; off by default.
-  bool adaptive_merge_rate = false;
-  engine::AdaptiveRateController::Options adaptive_rate;
 };
 
 // Counters exposed for tests and the benchmark harness.
@@ -340,9 +333,6 @@ class BlsmTree {
   // configured. Declared before every component/view member so it outlives
   // the Component destructors that unlink files through env_.
   std::unique_ptr<Env> rate_limited_env_;
-  // Feedback loop over the shared limiter (adaptive_merge_rate); fed at the
-  // scheduler checkpoints, which already compute the C0 fill it needs.
-  std::unique_ptr<engine::AdaptiveRateController> rate_controller_;
   Env* env_ = nullptr;
   std::shared_ptr<BlockCache> cache_;
   std::unique_ptr<MergeScheduler> scheduler_;

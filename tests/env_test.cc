@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "engine/io_rate_limiter.h"
 #include "io/counting_env.h"
 #include "io/fault_injection_env.h"
 #include "io/mem_env.h"
@@ -16,23 +17,47 @@
 namespace blsm {
 namespace {
 
-// Shared conformance suite run against both MemEnv and the CountingEnv
-// wrapper (over MemEnv).
-class EnvTest : public ::testing::TestWithParam<bool> {
+// Shared conformance suite, run against MemEnv and against every Env
+// decorator stacked directly on one: each stack must behave exactly like
+// the MemEnv it wraps (the fault injector and the rate limiter are idle).
+enum class EnvStack {
+  kMem,
+  kWrapper,
+  kCounting,
+  kUnbatched,
+  kRateLimited,
+  kFaultInjection,
+};
+
+class EnvTest : public ::testing::TestWithParam<EnvStack> {
  protected:
   void SetUp() override {
-    mem_env_ = std::make_unique<MemEnv>();
-    if (GetParam()) {
-      counting_ = std::make_unique<CountingEnv>(mem_env_.get(), &stats_);
-      env_ = counting_.get();
-    } else {
-      env_ = mem_env_.get();
+    switch (GetParam()) {
+      case EnvStack::kMem:
+        break;
+      case EnvStack::kWrapper:
+        decorator_ = std::make_unique<EnvWrapper>(&mem_env_);
+        break;
+      case EnvStack::kCounting:
+        decorator_ = std::make_unique<CountingEnv>(&mem_env_, &stats_);
+        break;
+      case EnvStack::kUnbatched:
+        decorator_ = std::make_unique<UnbatchedEnv>(&mem_env_);
+        break;
+      case EnvStack::kRateLimited:
+        decorator_ = std::make_unique<engine::RateLimitedEnv>(
+            &mem_env_, std::make_shared<engine::IoRateLimiter>(0));
+        break;
+      case EnvStack::kFaultInjection:
+        decorator_ = std::make_unique<FaultInjectionEnv>(&mem_env_);
+        break;
     }
+    env_ = decorator_ != nullptr ? decorator_.get() : &mem_env_;
   }
 
-  std::unique_ptr<MemEnv> mem_env_;
-  std::unique_ptr<CountingEnv> counting_;
+  MemEnv mem_env_;
   IoStats stats_;
+  std::unique_ptr<Env> decorator_;
   Env* env_ = nullptr;
 };
 
@@ -146,10 +171,26 @@ TEST_P(EnvTest, GetChildren) {
   EXPECT_EQ(children.size(), 2u);
 }
 
-INSTANTIATE_TEST_SUITE_P(PlainAndCounting, EnvTest, ::testing::Bool(),
-                         [](const auto& info) {
-                           return info.param ? "Counting" : "Mem";
-                         });
+// Every stack reports the terminal Env's data-path totals, so an engine's
+// io.* stats do not depend on which decorators it runs under.
+TEST_P(EnvTest, IoCountersAreTheTerminalEnvs) {
+  ASSERT_NE(mem_env_.io_counters(), nullptr);
+  EXPECT_EQ(env_->io_counters(), mem_env_.io_counters());
+}
+
+std::string EnvStackName(const ::testing::TestParamInfo<EnvStack>& info) {
+  static const char* const kNames[] = {"Mem",         "Wrapper",
+                                       "Counting",    "Unbatched",
+                                       "RateLimited", "FaultInjection"};
+  return kNames[static_cast<int>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Stacks, EnvTest,
+    ::testing::Values(EnvStack::kMem, EnvStack::kWrapper, EnvStack::kCounting,
+                      EnvStack::kUnbatched, EnvStack::kRateLimited,
+                      EnvStack::kFaultInjection),
+    EnvStackName);
 
 TEST(CountingEnvTest, ClassifiesSeeksAndSequentialReads) {
   MemEnv base;

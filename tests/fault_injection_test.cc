@@ -173,6 +173,46 @@ TEST(FaultInjectionMetadataTest, PolicyFailsMetadataOps) {
   EXPECT_TRUE(env.CreateDir("d").ok());
 }
 
+// Faults land per fragment of a gathered append: FaultWritableFile keeps
+// the base-class AppendV (an Append loop), so each part rolls on its own
+// and a trip mid-call leaves exactly the parts before it on disk.
+TEST(FaultInjectionGranularityTest, AppendVFaultsPerFragment) {
+  MemEnv base;
+  FaultInjectionEnv env(&base);
+  std::unique_ptr<WritableFile> f;
+  ASSERT_TRUE(env.NewWritableFile("f", &f).ok());
+  env.TripAfter(1);
+  const Slice parts[] = {"first-", "second-", "third"};
+  EXPECT_TRUE(f->AppendV(parts, 3).IsIOError());
+  env.Heal();
+  ASSERT_TRUE(f->Close().ok());
+  std::string data;
+  ASSERT_TRUE(ReadFileToString(&base, "f", &data).ok());
+  EXPECT_EQ(data, "first-");
+}
+
+// Recursive removal is a walk of individually faulted RemoveFile/RemoveDir
+// calls, not one forwarded call: a device that dies mid-walk fails it and
+// leaves the entries it had not reached yet.
+TEST(FaultInjectionGranularityTest, RemoveDirRecursiveFailsOnMidWalkTrip) {
+  MemEnv base;
+  FaultInjectionEnv env(&base);
+  ASSERT_TRUE(env.CreateDir("d").ok());
+  for (const char* name : {"d/a", "d/b", "d/c"}) {
+    ASSERT_TRUE(WriteStringToFile(&env, "x", name, false).ok());
+  }
+  env.TripAfter(1);
+  EXPECT_TRUE(env.RemoveDirRecursive("d").IsIOError());
+  EXPECT_FALSE(base.FileExists("d/a"));
+  EXPECT_TRUE(base.FileExists("d/b"));
+  EXPECT_TRUE(base.FileExists("d/c"));
+
+  env.Heal();
+  EXPECT_TRUE(env.RemoveDirRecursive("d").ok());
+  EXPECT_FALSE(base.FileExists("d/b"));
+  EXPECT_FALSE(base.FileExists("d/c"));
+}
+
 // A transient device outage during a merge must not poison the tree: the
 // merge retries with backoff, and once the device heals the pass completes
 // with no background error and no reopen.

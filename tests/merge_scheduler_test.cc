@@ -449,117 +449,5 @@ TEST(SharedLimiterTest, TwoEnginesBothMakeProgress) {
   EXPECT_GT(limiter->BytesThrough(IoPriority::kFlush), 0u);
 }
 
-// --- Adaptive rate feedback --------------------------------------------------
-
-using engine::AdaptiveRateController;
-
-TEST(AdaptiveRateControllerTest, MapsFillLinearlyBetweenWatermarks) {
-  auto limiter = std::make_shared<IoRateLimiter>(4 << 20);
-  AdaptiveRateController::Options opts;  // min defaults to max/4 = 1 MiB/s
-  AdaptiveRateController ctrl(limiter, opts);
-  ASSERT_TRUE(ctrl.enabled());
-
-  const uint64_t min_bps = 1 << 20;
-  const uint64_t max_bps = 4 << 20;
-  EXPECT_EQ(ctrl.Observe(0.0), min_bps);
-  EXPECT_EQ(limiter->bytes_per_second(), min_bps);
-  EXPECT_EQ(ctrl.Observe(0.2), min_bps);  // at the low watermark
-
-  // Midpoint of [0.2, 0.9] lands halfway along [min, max].
-  uint64_t mid = ctrl.Observe(0.55);
-  EXPECT_EQ(mid, min_bps + (max_bps - min_bps) / 2);
-  EXPECT_EQ(limiter->bytes_per_second(), mid);
-
-  EXPECT_EQ(ctrl.Observe(0.9), max_bps);
-  EXPECT_EQ(ctrl.Observe(1.5), max_bps);  // overshoot clamps
-  EXPECT_EQ(limiter->bytes_per_second(), max_bps);
-  EXPECT_EQ(ctrl.current_rate(), max_bps);
-}
-
-TEST(AdaptiveRateControllerTest, DeadbandSuppressesSmallMidRangeChanges) {
-  // A [1.0, 1.1] MB/s band makes every mid-range move smaller than the 10%
-  // deadband, so only the endpoints may re-target the limiter.
-  auto limiter = std::make_shared<IoRateLimiter>(1100000);
-  AdaptiveRateController::Options opts;
-  opts.min_bytes_per_second = 1000000;
-  opts.max_bytes_per_second = 1100000;
-  AdaptiveRateController ctrl(limiter, opts);
-  ASSERT_TRUE(ctrl.enabled());
-
-  // Mid-range: ~4.5% below the current 1.1 MB/s — suppressed.
-  EXPECT_EQ(ctrl.Observe(0.55), 1100000u);
-  EXPECT_EQ(limiter->bytes_per_second(), 1100000u);
-
-  // Endpoint: a 9% drop to min is below the deadband but still applies.
-  EXPECT_EQ(ctrl.Observe(0.1), 1000000u);
-  EXPECT_EQ(limiter->bytes_per_second(), 1000000u);
-
-  // Back to mid-range: ~5% above min — suppressed again.
-  EXPECT_EQ(ctrl.Observe(0.56), 1000000u);
-  EXPECT_EQ(limiter->bytes_per_second(), 1000000u);
-}
-
-TEST(AdaptiveRateControllerTest, DegenerateConfigsDisable) {
-  // An unlimited limiter leaves no budget to scale.
-  auto unlimited = std::make_shared<IoRateLimiter>(0);
-  AdaptiveRateController no_budget(unlimited, {});
-  EXPECT_FALSE(no_budget.enabled());
-  EXPECT_EQ(no_budget.Observe(1.0), no_budget.current_rate());
-  EXPECT_EQ(unlimited->bytes_per_second(), 0u);
-
-  AdaptiveRateController no_limiter(nullptr, {});
-  EXPECT_FALSE(no_limiter.enabled());
-
-  auto limiter = std::make_shared<IoRateLimiter>(1 << 20);
-  AdaptiveRateController::Options inverted;
-  inverted.low_watermark = 0.9;
-  inverted.high_watermark = 0.2;
-  AdaptiveRateController bad_marks(limiter, inverted);
-  EXPECT_FALSE(bad_marks.enabled());
-
-  AdaptiveRateController::Options crossed;
-  crossed.min_bytes_per_second = 2 << 20;
-  crossed.max_bytes_per_second = 1 << 20;
-  AdaptiveRateController bad_bounds(limiter, crossed);
-  EXPECT_FALSE(bad_bounds.enabled());
-
-  // None of the disabled controllers touched the limiter.
-  EXPECT_EQ(limiter->bytes_per_second(), 1u << 20);
-}
-
-TEST(AdaptiveRateControllerTest, OffByDefaultInTreeOptions) {
-  BlsmOptions options;
-  EXPECT_FALSE(options.adaptive_merge_rate);
-}
-
-TEST(AdaptiveRateControllerTest, BlsmTreeFeedsControllerEndToEnd) {
-  // With the loop closed, the scheduler checkpoints feed C0 fill into the
-  // limiter: after a write burst drains, the rate must sit inside the
-  // controller's [min, max] band and the tree must still merge cleanly.
-  MemEnv env;
-  auto limiter = std::make_shared<IoRateLimiter>(
-      16 << 20, /*env=*/nullptr, /*refill_period_micros=*/2 * 1000);
-  BlsmOptions options;
-  options.env = &env;
-  options.c0_target_bytes = 64 << 10;
-  options.durability = DurabilityMode::kNone;
-  options.io_rate_limiter = limiter;
-  options.adaptive_merge_rate = true;
-  std::unique_ptr<BlsmTree> tree;
-  ASSERT_TRUE(BlsmTree::Open(options, "db", &tree).ok());
-
-  std::string value(512, 'v');
-  for (int i = 0; i < 2000; i++) {
-    ASSERT_TRUE(tree->Put("k" + std::to_string(i), value).ok());
-  }
-  tree->WaitForMergeIdle();
-
-  EXPECT_TRUE(tree->BackgroundError().ok());
-  EXPECT_GT(tree->stats().merge1_passes.load(), 0u);
-  uint64_t rate = limiter->bytes_per_second();
-  EXPECT_GE(rate, (16u << 20) / 4);
-  EXPECT_LE(rate, 16u << 20);
-}
-
 }  // namespace
 }  // namespace blsm

@@ -254,58 +254,20 @@ TEST(LogicalLogTest, LargeValuesRoundTrip) {
 // WritableFile::Sync: a sleep makes syncs slow enough for group commit to
 // form real batches (MemEnv syncs are near-instant, which would degrade
 // every batch to size 1); an error return injects a sync failure.
-class SyncHookEnv : public Env {
+class SyncHookEnv : public EnvWrapper {
  public:
+  // The base is handed the address of mem_ before mem_ is constructed;
+  // EnvWrapper only stores it.
   explicit SyncHookEnv(std::function<Status()> hook)
-      : hook_(std::move(hook)) {}
+      : EnvWrapper(&mem_), hook_(std::move(hook)) {}
 
   Status NewWritableFile(const std::string& fname,
                          std::unique_ptr<WritableFile>* result) override {
-    std::unique_ptr<WritableFile> base;
-    Status s = mem_.NewWritableFile(fname, &base);
+    std::unique_ptr<WritableFile> file;
+    Status s = mem_.NewWritableFile(fname, &file);
     if (!s.ok()) return s;
-    *result = std::make_unique<HookedFile>(std::move(base), this);
+    *result = std::make_unique<HookedFile>(std::move(file), this);
     return Status::OK();
-  }
-  Status NewSequentialFile(const std::string& fname,
-                           std::unique_ptr<SequentialFile>* result) override {
-    return mem_.NewSequentialFile(fname, result);
-  }
-  Status NewRandomAccessFile(
-      const std::string& fname,
-      std::unique_ptr<RandomAccessFile>* result) override {
-    return mem_.NewRandomAccessFile(fname, result);
-  }
-  Status NewRandomRWFile(const std::string& fname,
-                         std::unique_ptr<RandomRWFile>* result) override {
-    return mem_.NewRandomRWFile(fname, result);
-  }
-  bool FileExists(const std::string& fname) override {
-    return mem_.FileExists(fname);
-  }
-  Status GetChildren(const std::string& dir,
-                     std::vector<std::string>* result) override {
-    return mem_.GetChildren(dir, result);
-  }
-  Status RemoveFile(const std::string& fname) override {
-    return mem_.RemoveFile(fname);
-  }
-  Status CreateDir(const std::string& dirname) override {
-    return mem_.CreateDir(dirname);
-  }
-  Status RemoveDir(const std::string& dirname) override {
-    return mem_.RemoveDir(dirname);
-  }
-  Status GetFileSize(const std::string& fname, uint64_t* size) override {
-    return mem_.GetFileSize(fname, size);
-  }
-  Status RenameFile(const std::string& src,
-                    const std::string& target) override {
-    return mem_.RenameFile(src, target);
-  }
-  uint64_t NowMicros() override { return mem_.NowMicros(); }
-  void SleepForMicroseconds(uint64_t micros) override {
-    mem_.SleepForMicroseconds(micros);
   }
 
   uint64_t syncs() const { return syncs_.load(); }

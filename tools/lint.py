@@ -45,6 +45,14 @@ Rules (see docs/static_analysis.md):
                 ::fdatasync, ::posix_fadvise) are not data-path and stay
                 allowed.
 
+  env-forwarding  A class deriving directly from Env other than the
+                terminal environments (PosixEnv, MemEnv) and EnvWrapper
+                itself. Decorators derive from EnvWrapper (src/io/env.h)
+                and override only the calls whose behaviour they change,
+                so no hand-written forwarding copy can drift out of step
+                with the interface (a missed io_counters() or
+                RemoveDirRecursive forward).
+
   compaction-pick  Direct version_->levels / version_->LevelBytes access
                 inside a Pick* / CompactionPending / RunCompactionPass
                 body in src/multilevel/. Compaction decisions are pure
@@ -108,6 +116,16 @@ METHOD_DEF = re.compile(
 )
 READ_PATH_LOCK = re.compile(r"\butil::(MutexLock|ReaderLock)\b")
 COMPACTION_PICK_ACCESS = re.compile(r"version_->(levels|LevelBytes)\b")
+# A class head with its base clause: `class Name [final] : bases {`.
+CLASS_BASES = re.compile(
+    r"\b(?:class|struct)\s+(?P<name>\w+)(?:\s+final)?\s*:(?![:])"
+    r"(?P<bases>[^{;]*)\{"
+)
+ENV_BASE = re.compile(
+    r"^(?:(?:public|protected|private|virtual)\s+)*(?:::)?(?:blsm::)?Env$"
+)
+# The terminal environments and the forwarding base itself.
+ENV_DIRECT_SUBCLASSES = {"PosixEnv", "MemEnv", "EnvWrapper"}
 WRITE_PATH_SLEEP = re.compile(r"\b(SleepForMicroseconds|sleep_for)\s*\(")
 WRITE_PATH_FILES = (
     "src/engine/write_frontend.",
@@ -170,6 +188,15 @@ def lint_file(path: Path, violations) -> None:
                   "raw positional IO outside src/io/; bytes go through "
                   "the Env layer (counters, limiter, faults, batching)",
                   violations, rel_str)
+    for m in CLASS_BASES.finditer(clean):
+        if m.group("name") in ENV_DIRECT_SUBCLASSES:
+            continue
+        bases = (b.strip() for b in m.group("bases").split(","))
+        if any(ENV_BASE.match(b) for b in bases):
+            check(src, "env-forwarding", src.line_of(m.start()),
+                  f"{m.group('name')} derives directly from Env; decorators "
+                  "derive from EnvWrapper and override only what they "
+                  "change", violations, rel_str)
     if in_write_path:
         for m in WRITE_PATH_SLEEP.finditer(clean):
             check(src, "write-path-sleep", src.line_of(m.start()),

@@ -61,16 +61,13 @@ void BlockCache::Insert(uint64_t file_id, uint64_t offset, BlockHandle block) {
     }
   }
 
-  // Find a free slot (reuse an unoccupied one, else grow the ring).
+  // Reuse a free slot, else grow the ring.
   size_t slot = shard->ring.size();
-  for (size_t i = 0; i < shard->ring.size(); i++) {
-    if (!shard->ring[i]->occupied) {
-      slot = i;
-      break;
-    }
-  }
-  if (slot == shard->ring.size()) {
+  if (shard->free_slots.empty()) {
     shard->ring.push_back(std::make_unique<Entry>());
+  } else {
+    slot = shard->free_slots.back();
+    shard->free_slots.pop_back();
   }
   Entry* e = shard->ring[slot].get();
   e->file_id = file_id;
@@ -94,10 +91,7 @@ void BlockCache::EvictSome(Shard* shard, size_t needed) {
       if (e->referenced.exchange(false, std::memory_order_relaxed)) {
         // Second chance.
       } else {
-        shard->usage -= e->block->size() + sizeof(Entry);
-        shard->index.erase(PackKey(e->file_id, e->offset));
-        e->block.reset();
-        e->occupied = false;
+        FreeSlot(shard, shard->hand);
       }
     }
     shard->hand = (shard->hand + 1) % n;
@@ -109,16 +103,20 @@ void BlockCache::EraseFile(uint64_t file_id) {
   for (auto& shard_ptr : shards_) {
     Shard* shard = shard_ptr.get();
     util::MutexLock l(&shard->mu);
-    for (auto& ep : shard->ring) {
-      Entry* e = ep.get();
-      if (e->occupied && e->file_id == file_id) {
-        shard->usage -= e->block->size() + sizeof(Entry);
-        shard->index.erase(PackKey(e->file_id, e->offset));
-        e->block.reset();
-        e->occupied = false;
-      }
+    for (size_t slot = 0; slot < shard->ring.size(); slot++) {
+      Entry* e = shard->ring[slot].get();
+      if (e->occupied && e->file_id == file_id) FreeSlot(shard, slot);
     }
   }
+}
+
+void BlockCache::FreeSlot(Shard* shard, size_t slot) {
+  Entry* e = shard->ring[slot].get();
+  shard->usage -= e->block->size() + sizeof(Entry);
+  shard->index.erase(PackKey(e->file_id, e->offset));
+  e->block.reset();
+  e->occupied = false;
+  shard->free_slots.push_back(slot);
 }
 
 uint64_t BlockCache::hits() const {

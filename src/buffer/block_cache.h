@@ -67,6 +67,9 @@ class BlockCache {
     // CLOCK ring: slots are reused in place; `hand` sweeps looking for an
     // unreferenced victim.
     std::vector<std::unique_ptr<Entry>> ring GUARDED_BY(mu);
+    // Indices of unoccupied ring slots. Eviction and EraseFile push, Insert
+    // pops, so a miss finds a slot in O(1); the ring grows only when empty.
+    std::vector<size_t> free_slots GUARDED_BY(mu);
     size_t hand GUARDED_BY(mu) = 0;
     size_t usage GUARDED_BY(mu) = 0;
     // packed key -> slot
@@ -82,6 +85,8 @@ class BlockCache {
 
   Shard* ShardFor(uint64_t packed);
   void EvictSome(Shard* shard, size_t needed) REQUIRES(shard->mu);
+  // Empties an occupied slot and returns it to the shard's free list.
+  void FreeSlot(Shard* shard, size_t slot) REQUIRES(shard->mu);
 
   const size_t capacity_;
   const size_t per_shard_capacity_;

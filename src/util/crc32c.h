@@ -7,8 +7,17 @@
 namespace blsm::crc32c {
 
 // Returns the CRC32C (Castagnoli) of data[0, n-1] continuing from `init_crc`,
-// where init_crc is the CRC32C of an earlier prefix.
+// where init_crc is the CRC32C of an earlier prefix. Uses the SSE4.2 crc32
+// instruction when the CPU has it and the table routine otherwise; both give
+// identical values.
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
+
+// The portable table routine, one byte per step: the fallback on CPUs
+// without SSE4.2 and the reference that Extend is tested against.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
+
+// True when Extend runs on the hardware instruction.
+bool IsAccelerated();
 
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }
 

@@ -101,6 +101,31 @@ TEST(BlockCacheTest, EraseFileDropsAllItsBlocks) {
   }
 }
 
+TEST(BlockCacheTest, FreedSlotsAreReusedOnce) {
+  // Slots freed by EraseFile and by eviction are handed out again; a slot
+  // handed to two keys at once would make one key read the other's block.
+  BlockCache cache(16 << 10, 1);  // one shard, room for a few 1 KiB blocks
+  auto fill = [](uint64_t file, uint64_t i) {
+    return static_cast<char>('a' + (file * 7 + i) % 26);
+  };
+  for (uint64_t file = 1; file <= 20; file++) {
+    for (uint64_t i = 0; i < 6; i++) {
+      cache.Insert(file, i * 4096, MakeBlock(1024, fill(file, i)));
+    }
+    if (file % 3 == 0) cache.EraseFile(file - 1);
+    EXPECT_LE(cache.usage(), 16u << 10);
+    for (uint64_t f = 1; f <= file; f++) {
+      for (uint64_t i = 0; i < 6; i++) {
+        auto h = cache.Lookup(f, i * 4096);
+        if (h != nullptr) EXPECT_EQ((*h)[0], fill(f, i)) << f << "/" << i;
+      }
+    }
+  }
+  for (uint64_t i = 0; i < 6; i++) {
+    EXPECT_NE(cache.Lookup(20, i * 4096), nullptr);
+  }
+}
+
 TEST(BlockCacheTest, ReplaceSameKey) {
   BlockCache cache(1 << 20, 4);
   cache.Insert(1, 0, MakeBlock(100, 'a'));

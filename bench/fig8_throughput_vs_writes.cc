@@ -42,7 +42,7 @@ int main() {
   load_spec.value_size = 1000;
 
   auto run_series = [&](const std::string& name, kv::Engine* engine,
-                        IoStats* stats, bool blind,
+                        const EnvIoCounters* stats, bool blind,
                         const std::function<void()>& settle) {
     Series s;
     s.name = name;

@@ -2,8 +2,8 @@
 #define BLSM_BENCH_HARNESS_H_
 
 // Shared scaffolding for the paper-reproduction benchmarks: engine setup on
-// a counting environment, workspace management, device-model reporting, and
-// table printing. Each bench binary regenerates one table or figure of the
+// the default environment, workspace management, device-model reporting,
+// and table printing. Each bench binary regenerates one table or figure of the
 // paper (see DESIGN.md §3 for the index and EXPERIMENTS.md for results).
 
 #include <cinttypes>
@@ -18,7 +18,7 @@
 #include "btree/btree.h"
 #include "engine/io_rate_limiter.h"
 #include "engine/kv.h"
-#include "io/counting_env.h"
+#include "io/env.h"
 #include "lsm/blsm_tree.h"
 #include "multilevel/multilevel_tree.h"
 #include "sim/device_model.h"
@@ -35,21 +35,24 @@ inline void CheckOk(const Status& s, const char* what) {
   }
 }
 
-// Benchmarks run against real files in a scratch directory; the CountingEnv
-// measures seeks and bytes, which the device models convert into the
-// HDD/SSD-equivalent numbers the paper reports (DESIGN.md §1).
+// Benchmarks run against real files in a scratch directory on the default
+// (POSIX) Env, whose counters classify every access as a seek or a
+// sequential transfer; the device models convert those into the
+// HDD/SSD-equivalent numbers the paper reports (DESIGN.md §1). The counters
+// are process-wide, so benches take before/after deltas and keep one
+// Workspace alive at a time.
 class Workspace {
  public:
   explicit Workspace(const std::string& name)
-      : dir_("/tmp/blsm_bench_" + name), counting_(Env::Default(), &stats_) {
+      : dir_("/tmp/blsm_bench_" + name) {
     Cleanup();
     CheckOk(Env::Default()->CreateDir(dir_), "create scratch dir");
   }
 
   ~Workspace() { Cleanup(); }
 
-  Env* env() { return &counting_; }
-  IoStats* stats() { return &stats_; }
+  Env* env() { return Env::Default(); }
+  const EnvIoCounters* stats() { return Env::Default()->io_counters(); }
   std::string Path(const std::string& sub) { return dir_ + "/" + sub; }
 
  private:
@@ -59,8 +62,6 @@ class Workspace {
   }
 
   std::string dir_;
-  IoStats stats_;
-  CountingEnv counting_;
 };
 
 // Scale factor: BLSM_BENCH_SCALE=4 quadruples dataset/op counts. Default
@@ -234,7 +235,8 @@ inline void PrintHeader(const std::string& title) {
   printf("================================================================\n");
 }
 
-inline void PrintIoProfile(const char* label, const IoStats::Snapshot& io,
+inline void PrintIoProfile(const char* label,
+                           const EnvIoCounters::Snapshot& io,
                            uint64_t ops) {
   double per_op = ops > 0 ? static_cast<double>(io.read_seeks) / ops : 0;
   printf("  %-28s read-seeks=%-8" PRIu64 " (%.2f/op)  read-MB=%-7.1f "
@@ -247,7 +249,7 @@ inline void PrintIoProfile(const char* label, const IoStats::Snapshot& io,
 // Device-model throughput: what this I/O profile would sustain on the
 // paper's HDD and SSD arrays.
 inline void PrintModeledThroughput(const char* label, uint64_t ops,
-                                   const IoStats::Snapshot& io) {
+                                   const EnvIoCounters::Snapshot& io) {
   DeviceModel hdd = HardDiskArray();
   DeviceModel ssd = SsdArray();
   printf("  %-28s hdd-model=%9.0f ops/s   ssd-model=%9.0f ops/s\n", label,

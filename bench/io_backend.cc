@@ -39,22 +39,6 @@ double Now() {
       .count();
 }
 
-struct CounterSnap {
-  uint64_t read_bytes = 0;
-  uint64_t multiread_batches = 0;
-  uint64_t multiread_requests = 0;
-  uint64_t readahead_hints = 0;
-  uint64_t readahead_hits = 0;
-};
-
-CounterSnap Snap(Env* env) {
-  const EnvIoCounters* io = env->io_counters();
-  if (io == nullptr) return {};
-  return {io->read_bytes.load(), io->multiread_batches.load(),
-          io->multiread_requests.load(), io->readahead_hints.load(),
-          io->readahead_hits.load()};
-}
-
 // Evicts every file under `dir` from the page cache so the next pass
 // performs real device reads ("cold" means cold). Best-effort: on
 // filesystems that ignore DONTNEED (tmpfs) the bench still runs, just warm.
@@ -79,8 +63,8 @@ struct MultiGetPass {
   const char* mode = "";
   Env* env = nullptr;
   std::unique_ptr<BlsmTree> tree;
-  double elapsed = 1e30;     // min over repetitions
-  CounterSnap per_rep;       // counter deltas of the first repetition
+  double elapsed = 1e30;            // min over repetitions
+  EnvIoCounters::Snapshot per_rep;  // counter deltas of the first rep
   bool have_counters = false;
 };
 
@@ -100,7 +84,8 @@ void OpenMultiGetPass(MultiGetPass* pass, const std::string& dir) {
 void RunMultiGetRep(MultiGetPass* pass, const std::string& dir,
                     uint64_t records, int batches, size_t batch_size) {
   DropPageCache(dir);
-  CounterSnap before = Snap(pass->env);
+  const EnvIoCounters* io = pass->env->io_counters();
+  EnvIoCounters::Snapshot before = io->snapshot();
   Random rnd(0xb10c);
   std::vector<std::string> key_storage(batch_size);
   std::vector<Slice> keys(batch_size);
@@ -120,12 +105,7 @@ void RunMultiGetRep(MultiGetPass* pass, const std::string& dir,
   }
   pass->elapsed = std::min(pass->elapsed, Now() - t0);
   if (!pass->have_counters) {
-    CounterSnap after = Snap(pass->env);
-    pass->per_rep = {after.read_bytes - before.read_bytes,
-                     after.multiread_batches - before.multiread_batches,
-                     after.multiread_requests - before.multiread_requests,
-                     after.readahead_hints - before.readahead_hints,
-                     after.readahead_hits - before.readahead_hits};
+    pass->per_rep = io->snapshot() - before;
     pass->have_counters = true;
   }
 }

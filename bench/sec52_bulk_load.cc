@@ -27,7 +27,7 @@ struct Row {
   uint64_t ops;
   double wall_seconds;
   double p999_us;
-  blsm::IoStats::Snapshot io;
+  blsm::EnvIoCounters::Snapshot io;
 };
 
 }  // namespace

@@ -100,9 +100,7 @@ void RunScanReadaheadAblation(blsm::bench::Workspace& ws, uint64_t records) {
       o.read_only = true;
       std::unique_ptr<multilevel::MultilevelTree> tree;
       CheckOk(multilevel::MultilevelTree::Open(o, dir, &tree), "reopen");
-      const EnvIoCounters* io = ws.env()->io_counters();
-      uint64_t hints_before = io != nullptr ? io->readahead_hints.load() : 0;
-      uint64_t reads_before = io != nullptr ? io->read_bytes.load() : 0;
+      EnvIoCounters::Snapshot before = ws.stats()->snapshot();
       Random rnd(0x5eed);
       std::vector<std::pair<std::string, std::string>> out;
       // Page-cache eviction between short segments (untimed) keeps the
@@ -121,13 +119,9 @@ void RunScanReadaheadAblation(blsm::bench::Workspace& ws, uint64_t records) {
                             std::chrono::steady_clock::now() - t0)
                             .count();
       }
-      if (off == 0 && io != nullptr) {
-        hints = io->readahead_hints.load() - hints_before;
-      }
-      read_mb[off] =
-          io != nullptr
-              ? static_cast<double>(io->read_bytes.load() - reads_before) / 1e6
-              : 0;
+      EnvIoCounters::Snapshot io = ws.stats()->snapshot() - before;
+      if (off == 0) hints = io.readahead_hints;
+      read_mb[off] = static_cast<double>(io.read_bytes) / 1e6;
       report.AddRow()
           .Str("policy", policy)
           .Str("readahead", off == 0 ? "on" : "off")

@@ -14,9 +14,9 @@ namespace blsm {
 
 // File and environment abstraction. Every engine in this repository performs
 // its I/O through an Env so that (a) tests can run against an in-memory
-// filesystem and (b) benchmarks can run against a CountingEnv that classifies
-// each access as a seek or a sequential transfer — the unit the paper's
-// analysis is written in (§2.1).
+// filesystem and (b) every access is counted, by the terminal Env that
+// performs it, as a seek or a sequential transfer — the unit the paper's
+// analysis is written in (§2.1). See EnvIoCounters.
 
 // Sequential read-only file (log recovery, merges).
 class SequentialFile {
@@ -109,12 +109,25 @@ class RandomRWFile {
 };
 
 // Cumulative data-path totals owned by a terminal Env implementation
-// (posix, uring, mem). Decorator Envs forward io_counters() to their base
-// (EnvWrapper does it for them), so whatever wrapper stack an engine runs
-// on, Engine::Stats() reports the totals of the environment that actually
-// touched the bytes.
+// (posix, uring, mem): the Env at the bottom of a stack, which does the real
+// IO, counts every op, byte and seek into its own EnvIoCounters. Decorator
+// Envs forward io_counters() to their base (EnvWrapper does it for them), so
+// whatever wrapper stack an engine runs on, Engine::Stats() and the bench
+// device models see the totals of the environment that touched the bytes.
+//
+// Seeks are counted in the units the paper reasons in (§2.1), per file
+// handle: a read is a seek unless it starts within 128 KiB after the
+// previous read's end on the same handle (a drive serves that from
+// read-ahead without repositioning), so a handle's first read is a seek;
+// opening a sequential file costs one seek; appends never seek; positional
+// RandomRWFile writes are classified like reads, against the previous
+// write. A batched MultiRead counts each request as the serial Read would.
 struct EnvIoCounters {
+  std::atomic<uint64_t> read_ops{0};
+  std::atomic<uint64_t> read_seeks{0};
   std::atomic<uint64_t> read_bytes{0};
+  std::atomic<uint64_t> write_ops{0};
+  std::atomic<uint64_t> write_seeks{0};  // positional (non-append) writes
   std::atomic<uint64_t> write_bytes{0};
   std::atomic<uint64_t> syncs{0};
   // MultiRead calls that reached this Env (each covering >= 1 requests).
@@ -128,31 +141,80 @@ struct EnvIoCounters {
   // writers that hit a mid-stream EINVAL and re-opened buffered.
   std::atomic<uint64_t> ring_writes{0};
   std::atomic<uint64_t> direct_write_fallbacks{0};
+
+  // Every field, copied out for arithmetic (atomics are not copyable).
+  struct Snapshot {
+    uint64_t read_ops = 0, read_seeks = 0, read_bytes = 0;
+    uint64_t write_ops = 0, write_seeks = 0, write_bytes = 0;
+    uint64_t syncs = 0;
+    uint64_t multiread_batches = 0, multiread_requests = 0;
+    uint64_t readahead_hits = 0, readahead_hints = 0;
+    uint64_t ring_writes = 0, direct_write_fallbacks = 0;
+
+    Snapshot operator-(const Snapshot& b) const;
+  };
+  Snapshot snapshot() const;
+
+  // One sequential transfer: a SequentialFile read or an append.
+  void CountSequentialRead(uint64_t bytes) {
+    read_ops.fetch_add(1, std::memory_order_relaxed);
+    read_bytes.fetch_add(bytes, std::memory_order_relaxed);
+  }
+  void CountAppend(uint64_t bytes) {
+    write_ops.fetch_add(1, std::memory_order_relaxed);
+    write_bytes.fetch_add(bytes, std::memory_order_relaxed);
+  }
 };
 
-// Per-file helper for the readahead_hits counter: remembers the most recent
+// Per-file-handle accounting for positional access: remembers where the
+// previous read and write ended (seek classification) and the most recent
 // hinted range (hints from sequential scans advance monotonically, so one
-// range is enough) and classifies later reads against it.
-class ReadAheadTracker {
+// range is enough). Each terminal read site makes one OnRead call per
+// completed read, which counts the op, its bytes, its seek and its
+// readahead hit. Terminal files hold it `mutable`: Read is const.
+class FileIoTracker {
  public:
-  void Hint(uint64_t offset, uint64_t len, EnvIoCounters* counters) {
-    if (counters != nullptr) {
-      counters->readahead_hints.fetch_add(1, std::memory_order_relaxed);
+  void OnRead(uint64_t offset, uint64_t bytes, EnvIoCounters* c) {
+    c->read_ops.fetch_add(1, std::memory_order_relaxed);
+    c->read_bytes.fetch_add(bytes, std::memory_order_relaxed);
+    if (IsSeek(&read_end_, offset, bytes)) {
+      c->read_seeks.fetch_add(1, std::memory_order_relaxed);
     }
-    start_.store(offset, std::memory_order_relaxed);
-    end_.store(offset + len, std::memory_order_relaxed);
+    if (offset >= hint_start_.load(std::memory_order_relaxed) &&
+        offset < hint_end_.load(std::memory_order_relaxed)) {
+      c->readahead_hits.fetch_add(1, std::memory_order_relaxed);
+    }
   }
-  void OnRead(uint64_t offset, EnvIoCounters* counters) const {
-    if (counters == nullptr) return;
-    if (offset >= start_.load(std::memory_order_relaxed) &&
-        offset < end_.load(std::memory_order_relaxed)) {
-      counters->readahead_hits.fetch_add(1, std::memory_order_relaxed);
+  void OnWrite(uint64_t offset, uint64_t bytes, EnvIoCounters* c) {
+    c->write_ops.fetch_add(1, std::memory_order_relaxed);
+    c->write_bytes.fetch_add(bytes, std::memory_order_relaxed);
+    if (IsSeek(&write_end_, offset, bytes)) {
+      c->write_seeks.fetch_add(1, std::memory_order_relaxed);
     }
+  }
+  void Hint(uint64_t offset, uint64_t len, EnvIoCounters* c) {
+    c->readahead_hints.fetch_add(1, std::memory_order_relaxed);
+    hint_start_.store(offset, std::memory_order_relaxed);
+    hint_end_.store(offset + len, std::memory_order_relaxed);
   }
 
  private:
-  std::atomic<uint64_t> start_{1};
-  std::atomic<uint64_t> end_{0};  // empty range until the first hint
+  static constexpr uint64_t kNearWindow = 128 << 10;
+  // Initial ends make the first access a seek at any offset.
+  static constexpr uint64_t kNoAccess = ~uint64_t{0} - kNearWindow;
+
+  // Records this access's end; true unless it starts within kNearWindow
+  // after the previous access's end.
+  static bool IsSeek(std::atomic<uint64_t>* end, uint64_t offset,
+                     uint64_t bytes) {
+    uint64_t prev = end->exchange(offset + bytes, std::memory_order_relaxed);
+    return offset < prev || offset > prev + kNearWindow;
+  }
+
+  std::atomic<uint64_t> read_end_{kNoAccess};
+  std::atomic<uint64_t> write_end_{kNoAccess};
+  std::atomic<uint64_t> hint_start_{1};
+  std::atomic<uint64_t> hint_end_{0};  // empty range until the first hint
 };
 
 class Env {

@@ -25,7 +25,10 @@ namespace {
 
 class MemSequentialFile final : public SequentialFile {
  public:
-  explicit MemSequentialFile(FileStatePtr fs) : fs_(std::move(fs)) {}
+  MemSequentialFile(FileStatePtr fs, EnvIoCounters* counters)
+      : fs_(std::move(fs)), counters_(counters) {
+    counters_->read_seeks.fetch_add(1, std::memory_order_relaxed);
+  }
 
   Status Read(size_t n, Slice* result, char* scratch) override {
     util::MutexLock l(&fs_->mu);
@@ -34,6 +37,7 @@ class MemSequentialFile final : public SequentialFile {
     memcpy(scratch, fs_->data.data() + pos_, len);
     pos_ += len;
     *result = Slice(scratch, len);
+    counters_->CountSequentialRead(len);
     return Status::OK();
   }
 
@@ -44,6 +48,7 @@ class MemSequentialFile final : public SequentialFile {
 
  private:
   FileStatePtr fs_;
+  EnvIoCounters* counters_;
   size_t pos_ = 0;
 };
 
@@ -55,15 +60,13 @@ class MemRandomAccessFile final : public RandomAccessFile {
   Status Read(uint64_t offset, size_t n, Slice* result,
               char* scratch) const override {
     util::MutexLock l(&fs_->mu);
-    if (offset >= fs_->data.size()) {
-      *result = Slice(scratch, 0);
-      return Status::OK();
+    size_t len = 0;
+    if (offset < fs_->data.size()) {
+      len = std::min(n, fs_->data.size() - static_cast<size_t>(offset));
+      memcpy(scratch, fs_->data.data() + offset, len);
     }
-    size_t len = std::min(n, fs_->data.size() - static_cast<size_t>(offset));
-    memcpy(scratch, fs_->data.data() + offset, len);
     *result = Slice(scratch, len);
-    tracker_.OnRead(offset, counters_);
-    counters_->read_bytes.fetch_add(len, std::memory_order_relaxed);
+    tracker_.OnRead(offset, len, counters_);
     return Status::OK();
   }
 
@@ -81,7 +84,7 @@ class MemRandomAccessFile final : public RandomAccessFile {
  private:
   FileStatePtr fs_;
   EnvIoCounters* counters_;
-  mutable ReadAheadTracker tracker_;
+  mutable FileIoTracker tracker_;
 };
 
 class MemWritableFile final : public WritableFile {
@@ -89,10 +92,16 @@ class MemWritableFile final : public WritableFile {
   MemWritableFile(FileStatePtr fs, EnvIoCounters* counters)
       : fs_(std::move(fs)), counters_(counters) {}
 
-  Status Append(const Slice& data) override {
+  Status Append(const Slice& data) override { return AppendV(&data, 1); }
+
+  Status AppendV(const Slice* parts, size_t n) override {
     util::MutexLock l(&fs_->mu);
-    fs_->data.append(data.data(), data.size());
-    counters_->write_bytes.fetch_add(data.size(), std::memory_order_relaxed);
+    size_t total = 0;
+    for (size_t i = 0; i < n; i++) {
+      fs_->data.append(parts[i].data(), parts[i].size());
+      total += parts[i].size();
+    }
+    counters_->CountAppend(total);
     return Status::OK();
   }
 
@@ -114,18 +123,19 @@ class MemWritableFile final : public WritableFile {
 
 class MemRandomRWFile final : public RandomRWFile {
  public:
-  explicit MemRandomRWFile(FileStatePtr fs) : fs_(std::move(fs)) {}
+  MemRandomRWFile(FileStatePtr fs, EnvIoCounters* counters)
+      : fs_(std::move(fs)), counters_(counters) {}
 
   Status Read(uint64_t offset, size_t n, Slice* result,
               char* scratch) const override {
     util::MutexLock l(&fs_->mu);
-    if (offset >= fs_->data.size()) {
-      *result = Slice(scratch, 0);
-      return Status::OK();
+    size_t len = 0;
+    if (offset < fs_->data.size()) {
+      len = std::min(n, fs_->data.size() - static_cast<size_t>(offset));
+      memcpy(scratch, fs_->data.data() + offset, len);
     }
-    size_t len = std::min(n, fs_->data.size() - static_cast<size_t>(offset));
-    memcpy(scratch, fs_->data.data() + offset, len);
     *result = Slice(scratch, len);
+    tracker_.OnRead(offset, len, counters_);
     return Status::OK();
   }
 
@@ -134,12 +144,14 @@ class MemRandomRWFile final : public RandomRWFile {
     size_t end = static_cast<size_t>(offset) + data.size();
     if (fs_->data.size() < end) fs_->data.resize(end, '\0');
     memcpy(fs_->data.data() + offset, data.data(), data.size());
+    tracker_.OnWrite(offset, data.size(), counters_);
     return Status::OK();
   }
 
   Status Sync() override {
     util::MutexLock l(&fs_->mu);
     fs_->synced_len = fs_->data.size();
+    counters_->syncs.fetch_add(1, std::memory_order_relaxed);
     return Status::OK();
   }
 
@@ -147,6 +159,8 @@ class MemRandomRWFile final : public RandomRWFile {
 
  private:
   FileStatePtr fs_;
+  EnvIoCounters* counters_;
+  mutable FileIoTracker tracker_;
 };
 
 }  // namespace
@@ -161,7 +175,7 @@ Status MemEnv::NewSequentialFile(const std::string& fname,
   util::MutexLock l(&mu_);
   auto it = files_.find(fname);
   if (it == files_.end()) return Status::NotFound(fname);
-  *result = std::make_unique<MemSequentialFile>(it->second);
+  *result = std::make_unique<MemSequentialFile>(it->second, &counters_);
   return Status::OK();
 }
 
@@ -194,7 +208,7 @@ Status MemEnv::NewRandomRWFile(const std::string& fname,
   } else {
     fs = it->second;
   }
-  *result = std::make_unique<MemRandomRWFile>(std::move(fs));
+  *result = std::make_unique<MemRandomRWFile>(std::move(fs), &counters_);
   return Status::OK();
 }
 

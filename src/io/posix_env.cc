@@ -26,7 +26,9 @@ Status PosixError(const std::string& context, int err) {
 class PosixSequentialFile final : public SequentialFile {
  public:
   PosixSequentialFile(std::string fname, int fd, EnvIoCounters* counters)
-      : fname_(std::move(fname)), fd_(fd), counters_(counters) {}
+      : fname_(std::move(fname)), fd_(fd), counters_(counters) {
+    counters_->read_seeks.fetch_add(1, std::memory_order_relaxed);
+  }
   ~PosixSequentialFile() override { close(fd_); }
 
   Status Read(size_t n, Slice* result, char* scratch) override {
@@ -36,8 +38,7 @@ class PosixSequentialFile final : public SequentialFile {
         if (errno == EINTR) continue;
         return PosixError(fname_, errno);
       }
-      counters_->read_bytes.fetch_add(static_cast<uint64_t>(r),
-                                      std::memory_order_relaxed);
+      counters_->CountSequentialRead(static_cast<uint64_t>(r));
       *result = Slice(scratch, static_cast<size_t>(r));
       return Status::OK();
     }
@@ -66,9 +67,7 @@ class PosixRandomAccessFile final : public RandomAccessFile {
               char* scratch) const override {
     ssize_t r = pread(fd_, scratch, n, static_cast<off_t>(offset));
     if (r < 0) return PosixError(fname_, errno);
-    tracker_.OnRead(offset, counters_);
-    counters_->read_bytes.fetch_add(static_cast<uint64_t>(r),
-                                    std::memory_order_relaxed);
+    tracker_.OnRead(offset, static_cast<uint64_t>(r), counters_);
     *result = Slice(scratch, static_cast<size_t>(r));
     return Status::OK();
   }
@@ -76,7 +75,8 @@ class PosixRandomAccessFile final : public RandomAccessFile {
   // Batched path: maximal runs of contiguous requests collapse into one
   // preadv each, so a MultiGet whose target blocks are adjacent on disk
   // costs one syscall instead of one per block. Non-contiguous requests
-  // fall back to individual preads; per-request statuses throughout.
+  // fall back to individual preads; per-request statuses throughout. Each
+  // request is counted as the serial Read of it would be.
   Status MultiRead(ReadRequest* reqs, size_t n) const override {
     counters_->multiread_batches.fetch_add(1, std::memory_order_relaxed);
     counters_->multiread_requests.fetch_add(n, std::memory_order_relaxed);
@@ -109,8 +109,8 @@ class PosixRandomAccessFile final : public RandomAccessFile {
 
  private:
   // One preadv over a contiguous run. A short count (EOF or a signal) falls
-  // back to per-request reads for the unfinished tail, so the results are
-  // bit-identical to the one-pread-at-a-time path.
+  // back to per-request reads for the unfinished tail, so the results (and
+  // the counters) are identical to the one-pread-at-a-time path.
   void ReadRun(ReadRequest* reqs, size_t count) const {
     struct iovec iov[64];
     size_t total = 0;
@@ -129,14 +129,12 @@ class PosixRandomAccessFile final : public RandomAccessFile {
       for (size_t k = 0; k < count; k++) reqs[k].status = s;
       return;
     }
-    tracker_.OnRead(reqs[0].offset, counters_);
-    counters_->read_bytes.fetch_add(static_cast<uint64_t>(r),
-                                    std::memory_order_relaxed);
     size_t got = static_cast<size_t>(r);
     size_t k = 0;
     for (; k < count && got >= reqs[k].len; k++) {
       reqs[k].result = Slice(reqs[k].scratch, reqs[k].len);
       reqs[k].status = Status::OK();
+      tracker_.OnRead(reqs[k].offset, reqs[k].len, counters_);
       got -= reqs[k].len;
     }
     for (; k < count; k++) {
@@ -148,7 +146,7 @@ class PosixRandomAccessFile final : public RandomAccessFile {
   std::string fname_;
   int fd_;
   EnvIoCounters* counters_;
-  mutable ReadAheadTracker tracker_;
+  mutable FileIoTracker tracker_;
 };
 
 class PosixWritableFile final : public WritableFile {
@@ -163,19 +161,17 @@ class PosixWritableFile final : public WritableFile {
     }
   }
 
-  Status Append(const Slice& data) override {
-    counters_->write_bytes.fetch_add(data.size(), std::memory_order_relaxed);
-    if (buf_.size() + data.size() <= kBufferSize) {
-      buf_.append(data.data(), data.size());
-      return Status::OK();
+  Status Append(const Slice& data) override { return AppendV(&data, 1); }
+
+  Status AppendV(const Slice* parts, size_t n) override {
+    size_t total = 0;
+    for (size_t i = 0; i < n; i++) {
+      Status s = Buffer(parts[i]);
+      if (!s.ok()) return s;
+      total += parts[i].size();
     }
-    Status s = FlushBuffered();
-    if (!s.ok()) return s;
-    if (data.size() <= kBufferSize) {
-      buf_.append(data.data(), data.size());
-      return Status::OK();
-    }
-    return WriteRaw(data.data(), data.size());
+    counters_->CountAppend(total);
+    return Status::OK();
   }
 
   Status Flush() override { return FlushBuffered(); }
@@ -197,6 +193,20 @@ class PosixWritableFile final : public WritableFile {
 
  private:
   static constexpr size_t kBufferSize = 64 << 10;
+
+  Status Buffer(const Slice& data) {
+    if (buf_.size() + data.size() <= kBufferSize) {
+      buf_.append(data.data(), data.size());
+      return Status::OK();
+    }
+    Status s = FlushBuffered();
+    if (!s.ok()) return s;
+    if (data.size() <= kBufferSize) {
+      buf_.append(data.data(), data.size());
+      return Status::OK();
+    }
+    return WriteRaw(data.data(), data.size());
+  }
 
   Status FlushBuffered() {
     Status s = Status::OK();
@@ -238,14 +248,12 @@ class PosixRandomRWFile final : public RandomRWFile {
               char* scratch) const override {
     ssize_t r = pread(fd_, scratch, n, static_cast<off_t>(offset));
     if (r < 0) return PosixError(fname_, errno);
-    counters_->read_bytes.fetch_add(static_cast<uint64_t>(r),
-                                    std::memory_order_relaxed);
+    tracker_.OnRead(offset, static_cast<uint64_t>(r), counters_);
     *result = Slice(scratch, static_cast<size_t>(r));
     return Status::OK();
   }
 
   Status Write(uint64_t offset, const Slice& data) override {
-    counters_->write_bytes.fetch_add(data.size(), std::memory_order_relaxed);
     const char* p = data.data();
     size_t n = data.size();
     off_t off = static_cast<off_t>(offset);
@@ -259,6 +267,7 @@ class PosixRandomRWFile final : public RandomRWFile {
       off += r;
       n -= static_cast<size_t>(r);
     }
+    tracker_.OnWrite(offset, data.size(), counters_);
     return Status::OK();
   }
 
@@ -281,6 +290,7 @@ class PosixRandomRWFile final : public RandomRWFile {
   std::string fname_;
   int fd_;
   EnvIoCounters* counters_;
+  mutable FileIoTracker tracker_;
 };
 
 class PosixEnv final : public Env {

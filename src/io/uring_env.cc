@@ -284,9 +284,7 @@ class UringRandomAccessFile final : public RandomAccessFile {
       ssize_t r = pread(fd_, scratch, n, static_cast<off_t>(offset));
       if (r < 0) return UringError(fname_, errno);
       *result = Slice(scratch, static_cast<size_t>(r));
-      tracker_.OnRead(offset, counters_);
-      counters_->read_bytes.fetch_add(result->size(),
-                                      std::memory_order_relaxed);
+      tracker_.OnRead(offset, result->size(), counters_);
       return Status::OK();
     }
     ReadRequest req;
@@ -402,9 +400,7 @@ class UringRandomAccessFile final : public RandomAccessFile {
         req->result = Slice(req->scratch, got);
       }
       req->status = Status::OK();
-      tracker_.OnRead(req->offset, counters_);
-      counters_->read_bytes.fetch_add(req->result.size(),
-                                      std::memory_order_relaxed);
+      tracker_.OnRead(req->offset, req->result.size(), counters_);
     }
     if (win != nullptr && win->buf != nullptr) {
       if (win->pool_index >= 0) {
@@ -427,7 +423,7 @@ class UringRandomAccessFile final : public RandomAccessFile {
   EnvIoCounters* counters_;
   std::unique_ptr<AlignedBufferPool> pool_;
   bool buffers_registered_ = false;
-  mutable ReadAheadTracker tracker_;
+  mutable FileIoTracker tracker_;
 };
 
 // --- writable file -----------------------------------------------------------
@@ -473,9 +469,9 @@ class UringWritableFile final : public WritableFile {
   Status Append(const Slice& data) override { return AppendV(&data, 1); }
 
   Status AppendV(const Slice* parts, size_t n) override {
+    size_t total = 0;
     for (size_t i = 0; i < n; i++) {
-      counters_->write_bytes.fetch_add(parts[i].size(),
-                                       std::memory_order_relaxed);
+      total += parts[i].size();
       const char* p = parts[i].data();
       size_t left = parts[i].size();
       while (left > 0) {
@@ -495,6 +491,7 @@ class UringWritableFile final : public WritableFile {
         }
       }
     }
+    counters_->CountAppend(total);
     return Status::OK();
   }
 

@@ -60,6 +60,8 @@ class UringEnv final : public EnvWrapper {
   Status NewWritableFile(const std::string& fname,
                          std::unique_ptr<WritableFile>* result) override;
 
+  // The ring files' counters (the base's when io_uring is unsupported).
+  // Sequential and RW files are the base Env's and count there.
   const EnvIoCounters* io_counters() const override;
 
  private:

@@ -4,7 +4,7 @@
 
 namespace blsm {
 
-double DeviceModel::DeviceSeconds(const IoStats::Snapshot& io) const {
+double DeviceModel::DeviceSeconds(const EnvIoCounters::Snapshot& io) const {
   double seek_time = static_cast<double>(io.read_seeks) / read_iops +
                      static_cast<double>(io.write_seeks) / write_iops;
   double transfer_time =
@@ -14,7 +14,7 @@ double DeviceModel::DeviceSeconds(const IoStats::Snapshot& io) const {
 }
 
 double DeviceModel::OpsPerSecond(uint64_t ops,
-                                 const IoStats::Snapshot& io) const {
+                                 const EnvIoCounters::Snapshot& io) const {
   double secs = DeviceSeconds(io);
   if (secs <= 0) return 0;
   return static_cast<double>(ops) / secs;

@@ -4,17 +4,18 @@
 #include <cstdint>
 #include <string>
 
-#include "io/counting_env.h"
+#include "io/env.h"
 
 namespace blsm {
 
 // Storage device cost model. The benchmark harness runs each engine against
-// real files through a CountingEnv, then feeds the measured I/O profile
-// (seeks, sequential bytes, random writes) through these models to obtain the
-// device-time the same I/O would have taken on the paper's hard-disk and SSD
-// arrays (§5.1). This is the substitution documented in DESIGN.md §1: the
-// paper's comparisons are determined by seek counts and amplification, which
-// we measure exactly.
+// real files and takes the delta of the terminal Env's EnvIoCounters over
+// the run (that Env classifies every access as a seek or a sequential
+// transfer). It feeds this I/O profile (seeks, sequential bytes, random
+// writes) through these models to obtain the device-time the same I/O would
+// have taken on the paper's hard-disk and SSD arrays (§5.1). This is the
+// substitution documented in DESIGN.md §1: the paper's comparisons are
+// determined by seek counts and amplification, which we measure exactly.
 struct DeviceModel {
   std::string name;
   double read_iops;          // random reads per second (seek-bound)
@@ -25,13 +26,13 @@ struct DeviceModel {
   // Device-seconds to execute the I/O profile in `io`, assuming reads and
   // writes share the device serially (worst case, as in the paper's
   // amplification convention).
-  double DeviceSeconds(const IoStats::Snapshot& io) const;
+  double DeviceSeconds(const EnvIoCounters::Snapshot& io) const;
 
   // Operations/second the device sustains for a workload that issued `ops`
   // logical operations while producing profile `io`. When the workload is
   // CPU-bound rather than I/O-bound, callers should take
   // min(device_ops_per_sec, measured_ops_per_sec) themselves.
-  double OpsPerSecond(uint64_t ops, const IoStats::Snapshot& io) const;
+  double OpsPerSecond(uint64_t ops, const EnvIoCounters::Snapshot& io) const;
 };
 
 // Parameter sets.

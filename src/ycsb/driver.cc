@@ -56,7 +56,7 @@ RunResult RunWorkload(kv::Engine* engine, const WorkloadSpec& spec,
                       const DriverOptions& options) {
   RunResult result;
   result.label = engine->Name() + "/" + spec.name;
-  IoStats::Snapshot io_before{};
+  EnvIoCounters::Snapshot io_before{};
   if (options.io_stats != nullptr) io_before = options.io_stats->snapshot();
 
   std::atomic<uint64_t> next_op{0};
@@ -138,7 +138,7 @@ RunResult RunLoad(kv::Engine* engine, const WorkloadSpec& spec,
                   bool sorted) {
   RunResult result;
   result.label = engine->Name() + "/load";
-  IoStats::Snapshot io_before{};
+  EnvIoCounters::Snapshot io_before{};
   if (options.io_stats != nullptr) io_before = options.io_stats->snapshot();
 
   std::atomic<uint64_t> next_id{0};

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "engine/kv.h"
-#include "io/counting_env.h"
+#include "io/env.h"
 #include "util/histogram.h"
 #include "util/status.h"
 #include "ycsb/workload.h"
@@ -26,7 +26,7 @@ struct RunResult {
   uint64_t errors = 0;
   Histogram latency_us;
   std::vector<TimeBucket> timeseries;
-  IoStats::Snapshot io{};  // I/O performed during the run
+  EnvIoCounters::Snapshot io{};  // I/O performed during the run
 
   double OpsPerSecond() const {
     return elapsed_seconds > 0 ? static_cast<double>(ops) / elapsed_seconds
@@ -39,8 +39,11 @@ struct DriverOptions {
   uint64_t operations = 100000;
   double bucket_seconds = 1.0;
   uint64_t seed = 42;
-  // When set, the run's I/O delta is captured into RunResult::io.
-  IoStats* io_stats = nullptr;
+  // When set, the run's I/O delta is captured into RunResult::io. Point it
+  // at the engine's terminal Env's counters (Env::io_counters()); they are
+  // shared by everything that Env serves, so keep other IO off it during
+  // the run.
+  const EnvIoCounters* io_stats = nullptr;
   // RunLoad only: group this many records into one kv::WriteBatch per
   // engine->Write call (one group-commit sync pays for the whole batch).
   // 1 means plain Put per record; ignored when check_exists is set (the

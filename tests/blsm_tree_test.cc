@@ -8,7 +8,6 @@
 #include <string>
 #include <thread>
 
-#include "io/counting_env.h"
 #include "io/mem_env.h"
 #include "util/random.h"
 
@@ -33,7 +32,6 @@ class BlsmTreeTest : public ::testing::TestWithParam<TreeConfig> {
  protected:
   void SetUp() override {
     env_ = std::make_unique<MemEnv>();
-    counting_ = std::make_unique<CountingEnv>(env_.get(), &stats_);
     Reopen();
   }
 
@@ -41,7 +39,7 @@ class BlsmTreeTest : public ::testing::TestWithParam<TreeConfig> {
 
   BlsmOptions MakeOptions() {
     BlsmOptions options;
-    options.env = counting_.get();
+    options.env = env_.get();
     options.c0_target_bytes = 256 << 10;  // small: forces real merges
     options.scheduler = GetParam().scheduler;
     options.snowshovel = GetParam().snowshovel;
@@ -55,8 +53,6 @@ class BlsmTreeTest : public ::testing::TestWithParam<TreeConfig> {
   }
 
   std::unique_ptr<MemEnv> env_;
-  IoStats stats_;
-  std::unique_ptr<CountingEnv> counting_;
   std::unique_ptr<BlsmTree> tree_;
 };
 
@@ -411,9 +407,7 @@ INSTANTIATE_TEST_SUITE_P(
 // --- behaviours that are specific to one configuration -------------------------
 
 TEST(BlsmTreeBloomTest, InsertIfNotExistsIsSeekFreeWithBloom) {
-  MemEnv base;
-  IoStats stats;
-  CountingEnv env(&base, &stats);
+  MemEnv env;
   BlsmOptions options;
   options.env = &env;
   options.c0_target_bytes = 256 << 10;
@@ -426,14 +420,14 @@ TEST(BlsmTreeBloomTest, InsertIfNotExistsIsSeekFreeWithBloom) {
   }
   ASSERT_TRUE(tree->CompactToBottom().ok());
 
-  auto before = stats.snapshot();
+  auto before = env.io_counters()->snapshot();
   int key_exists_errors = 0;
   for (uint64_t i = 0; i < 1000; i++) {
     Status s = tree->InsertIfNotExists("fresh-" + PaddedKey(i), "v");
     if (s.IsKeyExists()) key_exists_errors++;
     ASSERT_TRUE(s.ok() || s.IsKeyExists());
   }
-  auto diff = stats.snapshot() - before;
+  auto diff = env.io_counters()->snapshot() - before;
   EXPECT_EQ(key_exists_errors, 0);
   // §3.1.2: ~1% of probes hit a false positive and pay a seek; the rest are
   // free. Allow generous margin.
@@ -443,9 +437,7 @@ TEST(BlsmTreeBloomTest, InsertIfNotExistsIsSeekFreeWithBloom) {
 }
 
 TEST(BlsmTreeBloomTest, NoBloomOnLargestCostsSeeks) {
-  MemEnv base;
-  IoStats stats;
-  CountingEnv env(&base, &stats);
+  MemEnv env;
   BlsmOptions options;
   options.env = &env;
   options.c0_target_bytes = 256 << 10;
@@ -460,12 +452,12 @@ TEST(BlsmTreeBloomTest, NoBloomOnLargestCostsSeeks) {
   }
   ASSERT_TRUE(tree->CompactToBottom().ok());
 
-  auto before = stats.snapshot();
+  auto before = env.io_counters()->snapshot();
   for (uint64_t i = 0; i < 500; i++) {
     Status s = tree->InsertIfNotExists("fresh-" + PaddedKey(i), "v");
     ASSERT_TRUE(s.ok() || s.IsKeyExists());
   }
-  auto diff = stats.snapshot() - before;
+  auto diff = env.io_counters()->snapshot() - before;
   // Without C2's filter every not-exists check must probe C2: >= ~1 seek per
   // insert until the (small) tree is fully cached. At minimum, far more
   // block reads than the bloom-enabled variant.

@@ -6,7 +6,6 @@
 #include <memory>
 #include <string>
 
-#include "io/counting_env.h"
 #include "io/mem_env.h"
 #include "util/random.h"
 
@@ -22,19 +21,15 @@ std::string PaddedKey(uint64_t i) {
 
 class BTreeTest : public ::testing::Test {
  protected:
-  BTreeTest() : counting_env_(&mem_env_, &stats_) {}
-
   void Open(size_t pool_pages = 4096) {
     tree_.reset();
     BTreeOptions options;
-    options.env = &counting_env_;
+    options.env = &mem_env_;
     options.buffer_pool_pages = pool_pages;
     ASSERT_TRUE(BTree::Open(options, "tree.db", &tree_).ok());
   }
 
   MemEnv mem_env_;
-  IoStats stats_;
-  CountingEnv counting_env_;
   std::unique_ptr<BTree> tree_;
 };
 
@@ -188,14 +183,14 @@ TEST_F(BTreeTest, UncachedUpdateCostsReadAndWriteback) {
   ASSERT_TRUE(tree_->Checkpoint().ok());
 
   Random rnd(5);
-  auto before = stats_.snapshot();
+  auto before = mem_env_.io_counters()->snapshot();
   const int kUpdates = 500;
   for (int i = 0; i < kUpdates; i++) {
     ASSERT_TRUE(
         tree_->Insert(PaddedKey(rnd.Uniform(kN)), std::string(200, 'y')).ok());
   }
   ASSERT_TRUE(tree_->Checkpoint().ok());
-  auto diff = stats_.snapshot() - before;
+  auto diff = mem_env_.io_counters()->snapshot() - before;
   double reads_per_update = static_cast<double>(diff.read_seeks) / kUpdates;
   double writes_per_update = static_cast<double>(diff.write_seeks) / kUpdates;
   EXPECT_GT(reads_per_update, 0.5) << "uncached updates must fault leaves";

@@ -4,7 +4,6 @@
 
 #include <cstring>
 
-#include "io/counting_env.h"
 #include "io/mem_env.h"
 
 namespace blsm::btree {
@@ -12,15 +11,11 @@ namespace {
 
 class BufferPoolTest : public ::testing::Test {
  protected:
-  BufferPoolTest() : counting_(&mem_, &stats_) {}
-
   MemEnv mem_;
-  IoStats stats_;
-  CountingEnv counting_;
 };
 
 TEST_F(BufferPoolTest, AllocateAndFetch) {
-  BufferPool pool(&counting_, "f", 8);
+  BufferPool pool(&mem_, "f", 8);
   ASSERT_TRUE(pool.Open().ok());
   PageId id;
   char* data;
@@ -36,7 +31,7 @@ TEST_F(BufferPoolTest, AllocateAndFetch) {
 }
 
 TEST_F(BufferPoolTest, PageCountGrows) {
-  BufferPool pool(&counting_, "f", 8);
+  BufferPool pool(&mem_, "f", 8);
   ASSERT_TRUE(pool.Open().ok());
   EXPECT_EQ(pool.page_count(), 0u);
   PageId id;
@@ -49,7 +44,7 @@ TEST_F(BufferPoolTest, PageCountGrows) {
 }
 
 TEST_F(BufferPoolTest, DirtyPagesSurviveEviction) {
-  BufferPool pool(&counting_, "f", 4);  // tiny pool
+  BufferPool pool(&mem_, "f", 4);  // tiny pool
   ASSERT_TRUE(pool.Open().ok());
   // Write 16 pages, each with a distinct pattern — 4x the pool capacity.
   for (int i = 0; i < 16; i++) {
@@ -69,7 +64,7 @@ TEST_F(BufferPoolTest, DirtyPagesSurviveEviction) {
 
 TEST_F(BufferPoolTest, FlushAllPersists) {
   {
-    BufferPool pool(&counting_, "f", 8);
+    BufferPool pool(&mem_, "f", 8);
     ASSERT_TRUE(pool.Open().ok());
     PageId id;
     char* data;
@@ -79,7 +74,7 @@ TEST_F(BufferPoolTest, FlushAllPersists) {
     ASSERT_TRUE(pool.FlushAll().ok());
   }
   // Fresh pool over the same file.
-  BufferPool pool(&counting_, "f", 8);
+  BufferPool pool(&mem_, "f", 8);
   ASSERT_TRUE(pool.Open().ok());
   EXPECT_EQ(pool.page_count(), 1u);
   char* data;
@@ -88,7 +83,7 @@ TEST_F(BufferPoolTest, FlushAllPersists) {
 }
 
 TEST_F(BufferPoolTest, PinPreventsEviction) {
-  BufferPool pool(&counting_, "f", 2);
+  BufferPool pool(&mem_, "f", 2);
   ASSERT_TRUE(pool.Open().ok());
   PageId pinned;
   char* pinned_data;
@@ -112,7 +107,7 @@ TEST_F(BufferPoolTest, PinPreventsEviction) {
 }
 
 TEST_F(BufferPoolTest, AllPinnedReportsBusy) {
-  BufferPool pool(&counting_, "f", 2);
+  BufferPool pool(&mem_, "f", 2);
   ASSERT_TRUE(pool.Open().ok());
   PageId a, b, c;
   char* data;
@@ -126,7 +121,7 @@ TEST_F(BufferPoolTest, AllPinnedReportsBusy) {
 }
 
 TEST_F(BufferPoolTest, EvictionWritesBackOnlyDirtyPages) {
-  BufferPool pool(&counting_, "f", 2);
+  BufferPool pool(&mem_, "f", 2);
   ASSERT_TRUE(pool.Open().ok());
   // One clean page (written + flushed), then churn with clean fetches.
   PageId id;
@@ -134,7 +129,7 @@ TEST_F(BufferPoolTest, EvictionWritesBackOnlyDirtyPages) {
   ASSERT_TRUE(pool.AllocatePage(&id, &data).ok());
   pool.MarkDirty(id);
   ASSERT_TRUE(pool.FlushAll().ok());
-  auto before = stats_.snapshot();
+  auto before = mem_.io_counters()->snapshot();
   // Re-fetch (clean) and evict it repeatedly via other allocations: no
   // write-back should occur for clean pages.
   for (int i = 0; i < 4; i++) {
@@ -145,14 +140,14 @@ TEST_F(BufferPoolTest, EvictionWritesBackOnlyDirtyPages) {
     ASSERT_TRUE(pool.AllocatePage(&junk, &junk_data).ok());  // dirty
   }
   ASSERT_TRUE(pool.FlushAll().ok());
-  auto diff = stats_.snapshot() - before;
+  auto diff = mem_.io_counters()->snapshot() - before;
   // 8 dirty junk pages + maybe the meta-ish page: but page 0 was clean and
   // must not be rewritten. Bound: at most 9 page writes.
   EXPECT_LE(diff.write_ops, 9u);
 }
 
 TEST_F(BufferPoolTest, ReadPastEofZeroFills) {
-  BufferPool pool(&counting_, "f", 4);
+  BufferPool pool(&mem_, "f", 4);
   ASSERT_TRUE(pool.Open().ok());
   // Fetching a page id beyond the file's current extent yields zeroes
   // (sparse-file semantics used right after AllocatePage on reopen paths).

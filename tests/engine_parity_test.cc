@@ -193,6 +193,32 @@ TEST_P(EngineParityTest, RandomizedOpsMatchModel) {
   }
 }
 
+// Every engine's io.* stats are its terminal Env's counters, which must
+// cover every file type the engine touches: the B-tree's pages go through a
+// RandomRWFile and the LSMs' WAL replay through a SequentialFile.
+TEST_P(EngineParityTest, IoStatsCountEveryFileType) {
+  const std::string& name = GetParam();
+  MemEnv env;
+  kv::CommonOptions options;
+  options.env = &env;
+  options.durability = DurabilityMode::kSync;
+
+  std::unique_ptr<kv::Engine> engine;
+  ASSERT_TRUE(kv::Open(name, options, "db", &engine).ok());
+  ASSERT_TRUE(engine->Put("k1", "v1").ok());
+  uint64_t reads_before_reopen = engine->Stats()["io.read_bytes"];
+  engine.reset();
+  // Recovery reads back what the first session wrote.
+  ASSERT_TRUE(kv::Open(name, options, "db", &engine).ok());
+  EXPECT_GT(engine->Stats()["io.read_bytes"], reads_before_reopen) << name;
+
+  ASSERT_TRUE(engine->Put("k2", "v2").ok());
+  ASSERT_TRUE(engine->Flush().ok());
+  auto stats = engine->Stats();
+  EXPECT_GT(stats["io.write_bytes"], 0u) << name;
+  EXPECT_GT(stats["io.syncs"], 0u) << name;
+}
+
 // Stats() must be safe to call while writers are running: the counters it
 // reads (e.g. the B-tree's num_entries/height, the LSMs' merge gauges) are
 // mutated under each engine's locks, and an unguarded read is a data race

@@ -6,9 +6,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "engine/io_rate_limiter.h"
-#include "io/counting_env.h"
 #include "io/fault_injection_env.h"
 #include "io/mem_env.h"
 #include "io/unbatched_env.h"
@@ -23,7 +24,6 @@ namespace {
 enum class EnvStack {
   kMem,
   kWrapper,
-  kCounting,
   kUnbatched,
   kRateLimited,
   kFaultInjection,
@@ -37,9 +37,6 @@ class EnvTest : public ::testing::TestWithParam<EnvStack> {
         break;
       case EnvStack::kWrapper:
         decorator_ = std::make_unique<EnvWrapper>(&mem_env_);
-        break;
-      case EnvStack::kCounting:
-        decorator_ = std::make_unique<CountingEnv>(&mem_env_, &stats_);
         break;
       case EnvStack::kUnbatched:
         decorator_ = std::make_unique<UnbatchedEnv>(&mem_env_);
@@ -56,7 +53,6 @@ class EnvTest : public ::testing::TestWithParam<EnvStack> {
   }
 
   MemEnv mem_env_;
-  IoStats stats_;
   std::unique_ptr<Env> decorator_;
   Env* env_ = nullptr;
 };
@@ -179,86 +175,237 @@ TEST_P(EnvTest, IoCountersAreTheTerminalEnvs) {
 }
 
 std::string EnvStackName(const ::testing::TestParamInfo<EnvStack>& info) {
-  static const char* const kNames[] = {"Mem",         "Wrapper",
-                                       "Counting",    "Unbatched",
-                                       "RateLimited", "FaultInjection"};
+  static const char* const kNames[] = {"Mem",       "Wrapper",
+                                       "Unbatched", "RateLimited",
+                                       "FaultInjection"};
   return kNames[static_cast<int>(info.param)];
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Stacks, EnvTest,
-    ::testing::Values(EnvStack::kMem, EnvStack::kWrapper, EnvStack::kCounting,
+    ::testing::Values(EnvStack::kMem, EnvStack::kWrapper,
                       EnvStack::kUnbatched, EnvStack::kRateLimited,
                       EnvStack::kFaultInjection),
     EnvStackName);
 
-TEST(CountingEnvTest, ClassifiesSeeksAndSequentialReads) {
-  MemEnv base;
-  IoStats stats;
-  CountingEnv env(&base, &stats);
-  std::string blob(1 << 20, 'z');
-  ASSERT_TRUE(WriteStringToFile(&env, blob, "f", false).ok());
+// --- terminal IO counters ----------------------------------------------------
 
-  std::unique_ptr<RandomAccessFile> f;
-  ASSERT_TRUE(env.NewRandomAccessFile("f", &f).ok());
+// Every terminal Env counts ops, bytes and seeks into its own EnvIoCounters,
+// with one seek classification (EnvIoCounters' header comment). PosixEnv's
+// counters are process-wide, so every case measures deltas from Mark().
+enum class Terminal { kMem, kPosix, kUring };
+
+class TerminalCountersTest : public ::testing::TestWithParam<Terminal> {
+ protected:
+  void SetUp() override {
+    switch (GetParam()) {
+      case Terminal::kMem:
+        env_ = &mem_env_;
+        break;
+      case Terminal::kPosix:
+        env_ = Env::Default();
+        break;
+      case Terminal::kUring:
+        if (!UringEnv::Supported()) {
+          GTEST_SKIP() << "io_uring unavailable on this kernel";
+        }
+        uring_ = std::make_unique<UringEnv>(Env::Default());
+        env_ = uring_.get();
+        break;
+    }
+    if (GetParam() != Terminal::kMem) {
+      dir_ = ::testing::TempDir() + "env_test_counters_" +
+             std::to_string(::getpid());
+      ASSERT_TRUE(Env::Default()->CreateDir(dir_).ok());
+    }
+    // UringEnv counts the ring files it opens itself (random-access and
+    // writable); its sequential and RW files are its base Env's.
+    counters_ = {env_->io_counters()};
+    if (uring_ != nullptr) counters_.push_back(Env::Default()->io_counters());
+    Mark();
+  }
+  void TearDown() override {
+    if (!dir_.empty()) {
+      Env::Default()->RemoveDirRecursive(dir_).IgnoreError("test teardown");
+    }
+  }
+
+  std::string Path(const std::string& name) const {
+    return dir_.empty() ? name : dir_ + "/" + name;
+  }
+
+  void Mark() {
+    marks_.clear();
+    for (const EnvIoCounters* c : counters_) marks_.push_back(c->snapshot());
+  }
+
+  // One counter's growth since Mark(), over every counter set this env's
+  // files land in.
+  uint64_t Since(uint64_t EnvIoCounters::Snapshot::*field) const {
+    uint64_t total = 0;
+    for (size_t i = 0; i < counters_.size(); i++) {
+      total += (counters_[i]->snapshot() - marks_[i]).*field;
+    }
+    return total;
+  }
+
+  // A 1 MiB file whose opening bytes are not counted.
+  std::unique_ptr<RandomAccessFile> OpenBlob() {
+    EXPECT_TRUE(
+        WriteStringToFile(env_, std::string(1 << 20, 'z'), Path("blob"), false)
+            .ok());
+    std::unique_ptr<RandomAccessFile> f;
+    EXPECT_TRUE(env_->NewRandomAccessFile(Path("blob"), &f).ok());
+    Mark();
+    return f;
+  }
+
+  using Snap = EnvIoCounters::Snapshot;
+  MemEnv mem_env_;
+  std::unique_ptr<UringEnv> uring_;
+  Env* env_ = nullptr;
+  std::string dir_;
+  std::vector<const EnvIoCounters*> counters_;
+  std::vector<Snap> marks_;
+};
+
+TEST_P(TerminalCountersTest, ClassifiesSeeksAndSequentialReads) {
+  auto f = OpenBlob();
   char scratch[4096];
   Slice r;
-  // First read: one seek.
   ASSERT_TRUE(f->Read(0, 4096, &r, scratch).ok());
-  uint64_t seeks_after_first = stats.read_seeks.load();
+  EXPECT_EQ(Since(&Snap::read_seeks), 1u) << "first read is a seek";
   // Contiguous follow-up reads: no new seeks.
   ASSERT_TRUE(f->Read(4096, 4096, &r, scratch).ok());
   ASSERT_TRUE(f->Read(8192, 4096, &r, scratch).ok());
-  EXPECT_EQ(stats.read_seeks.load(), seeks_after_first);
+  EXPECT_EQ(Since(&Snap::read_seeks), 1u);
   // A jump far away: one more seek.
   ASSERT_TRUE(f->Read(900000, 4096, &r, scratch).ok());
-  EXPECT_EQ(stats.read_seeks.load(), seeks_after_first + 1);
+  EXPECT_EQ(Since(&Snap::read_seeks), 2u);
   // Backward read: seek.
   ASSERT_TRUE(f->Read(0, 4096, &r, scratch).ok());
-  EXPECT_EQ(stats.read_seeks.load(), seeks_after_first + 2);
-  EXPECT_EQ(stats.read_ops.load(), 5u);
-  EXPECT_EQ(stats.read_bytes.load(), 5u * 4096);
+  EXPECT_EQ(Since(&Snap::read_seeks), 3u);
+  EXPECT_EQ(Since(&Snap::read_ops), 5u);
+  EXPECT_EQ(Since(&Snap::read_bytes), 5u * 4096);
 }
 
-TEST(CountingEnvTest, CountsWritesAndSyncs) {
-  MemEnv base;
-  IoStats stats;
-  CountingEnv env(&base, &stats);
+// The preadv-coalesced (posix) and ring-batched (uring) paths must count
+// each request as the serial Read of it would.
+TEST_P(TerminalCountersTest, MultiReadCountsLikeSerialReads) {
+  auto f = OpenBlob();
+  const uint64_t offsets[5] = {0, 4096, 8192, 12288, 900000};
+  char scratch[5][4096];
+  for (int i = 0; i < 5; i++) {
+    Slice r;
+    ASSERT_TRUE(f->Read(offsets[i], 4096, &r, scratch[i]).ok());
+  }
+  const uint64_t serial_seeks = Since(&Snap::read_seeks);
+  EXPECT_EQ(serial_seeks, 2u);  // the first read and the far one
+  EXPECT_EQ(Since(&Snap::read_ops), 5u);
+
+  std::unique_ptr<RandomAccessFile> g;  // fresh handle: first read seeks
+  ASSERT_TRUE(env_->NewRandomAccessFile(Path("blob"), &g).ok());
+  Mark();
+  ReadRequest reqs[5];
+  for (int i = 0; i < 5; i++) {
+    reqs[i] = {offsets[i], 4096, scratch[i], Slice(), Status::OK()};
+  }
+  ASSERT_TRUE(g->MultiRead(reqs, 5).ok());
+  for (int i = 0; i < 5; i++) ASSERT_TRUE(reqs[i].status.ok()) << i;
+  EXPECT_EQ(Since(&Snap::read_ops), 5u);
+  EXPECT_EQ(Since(&Snap::read_seeks), serial_seeks);
+  EXPECT_EQ(Since(&Snap::read_bytes), 5u * 4096);
+  // The batch reached the terminal intact.
+  EXPECT_EQ(Since(&Snap::multiread_batches), 1u);
+  EXPECT_EQ(Since(&Snap::multiread_requests), 5u);
+}
+
+TEST_P(TerminalCountersTest, SequentialFileOpenIsOneSeek) {
+  ASSERT_TRUE(
+      WriteStringToFile(env_, std::string(10000, 's'), Path("seq"), false)
+          .ok());
+  Mark();
+  std::unique_ptr<SequentialFile> f;
+  ASSERT_TRUE(env_->NewSequentialFile(Path("seq"), &f).ok());
+  EXPECT_EQ(Since(&Snap::read_seeks), 1u);
+  char scratch[4096];
+  uint64_t reads = 0;
+  Slice r;
+  do {
+    ASSERT_TRUE(f->Read(sizeof(scratch), &r, scratch).ok());
+    reads++;
+  } while (!r.empty());
+  EXPECT_EQ(Since(&Snap::read_seeks), 1u) << "sequential reads never seek";
+  EXPECT_EQ(Since(&Snap::read_ops), reads);
+  EXPECT_EQ(Since(&Snap::read_bytes), 10000u);
+}
+
+TEST_P(TerminalCountersTest, AppendsAreWriteOpsWithoutSeeks) {
   std::unique_ptr<WritableFile> f;
-  ASSERT_TRUE(env.NewWritableFile("f", &f).ok());
+  ASSERT_TRUE(env_->NewWritableFile(Path("log"), &f).ok());
   ASSERT_TRUE(f->Append("hello").ok());
   ASSERT_TRUE(f->Append("world").ok());
+  Slice parts[3] = {Slice("abc"), Slice(""), Slice("defg")};
+  ASSERT_TRUE(f->AppendV(parts, 3).ok());  // one gathered op
   ASSERT_TRUE(f->Sync().ok());
-  EXPECT_EQ(stats.write_bytes.load(), 10u);
-  EXPECT_EQ(stats.write_ops.load(), 2u);
-  EXPECT_EQ(stats.syncs.load(), 1u);
-  // Appends are sequential: no write seeks.
-  EXPECT_EQ(stats.write_seeks.load(), 0u);
+  ASSERT_TRUE(f->Close().ok());
+  EXPECT_EQ(Since(&Snap::write_ops), 3u);
+  EXPECT_EQ(Since(&Snap::write_bytes), 17u);
+  EXPECT_EQ(Since(&Snap::write_seeks), 0u);
+  EXPECT_EQ(Since(&Snap::syncs), 1u);
 }
 
-TEST(CountingEnvTest, RandomWritesCountAsWriteSeeks) {
-  MemEnv base;
-  IoStats stats;
-  CountingEnv env(&base, &stats);
+TEST_P(TerminalCountersTest, RandomRWFileAccessesAreClassified) {
   std::unique_ptr<RandomRWFile> f;
-  ASSERT_TRUE(env.NewRandomRWFile("f", &f).ok());
+  ASSERT_TRUE(env_->NewRandomRWFile(Path("pages"), &f).ok());
   ASSERT_TRUE(f->Write(1 << 20, "page").ok());
   ASSERT_TRUE(f->Write(0, "page").ok());
-  ASSERT_TRUE(f->Write(4, "page").ok());  // contiguous with previous
-  EXPECT_EQ(stats.write_seeks.load(), 2u);
+  ASSERT_TRUE(f->Write(4, "page").ok());  // contiguous with the previous
+  EXPECT_EQ(Since(&Snap::write_ops), 3u);
+  EXPECT_EQ(Since(&Snap::write_seeks), 2u);
+  EXPECT_EQ(Since(&Snap::write_bytes), 12u);
+  // Reads are classified against the previous read, not the last write.
+  char scratch[8];
+  Slice r;
+  ASSERT_TRUE(f->Read(4, 4, &r, scratch).ok());
+  ASSERT_TRUE(f->Read(8, 4, &r, scratch).ok());
+  EXPECT_EQ(Since(&Snap::read_ops), 2u);
+  EXPECT_EQ(Since(&Snap::read_seeks), 1u);
+  EXPECT_EQ(Since(&Snap::read_bytes), 8u);
+  ASSERT_TRUE(f->Sync().ok());
+  EXPECT_EQ(Since(&Snap::syncs), 1u);
+  ASSERT_TRUE(f->Close().ok());
 }
 
-TEST(IoStatsTest, SnapshotDifference) {
-  IoStats stats;
-  stats.read_seeks = 10;
-  stats.read_bytes = 100;
-  auto a = stats.snapshot();
-  stats.read_seeks = 25;
-  stats.read_bytes = 400;
-  auto diff = stats.snapshot() - a;
-  EXPECT_EQ(diff.read_seeks, 15u);
-  EXPECT_EQ(diff.read_bytes, 300u);
+TEST_P(TerminalCountersTest, SnapshotDifferenceIsTheIoBetween) {
+  const EnvIoCounters* io = env_->io_counters();
+  Snap s0 = io->snapshot();
+  ASSERT_TRUE(WriteStringToFile(env_, std::string(300, 'w'), Path("d"), false)
+                  .ok());
+  Snap s1 = io->snapshot();
+  std::unique_ptr<RandomAccessFile> f;
+  ASSERT_TRUE(env_->NewRandomAccessFile(Path("d"), &f).ok());
+  char scratch[300];
+  Slice r;
+  ASSERT_TRUE(f->Read(0, 300, &r, scratch).ok());
+  Snap s2 = io->snapshot();
+  EXPECT_EQ((s1 - s0).write_bytes, 300u);
+  EXPECT_EQ((s1 - s0).read_bytes, 0u);
+  EXPECT_EQ((s2 - s1).write_bytes, 0u);
+  EXPECT_EQ((s2 - s1).read_bytes, 300u);
+  EXPECT_EQ((s2 - s1).read_seeks, 1u);
+  EXPECT_EQ((s2 - s0).read_ops, 1u);
 }
+
+std::string TerminalName(const ::testing::TestParamInfo<Terminal>& info) {
+  static const char* const kNames[] = {"Mem", "Posix", "Uring"};
+  return kNames[static_cast<int>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(Terminals, TerminalCountersTest,
+                         ::testing::Values(Terminal::kMem, Terminal::kPosix,
+                                           Terminal::kUring),
+                         TerminalName);
 
 // --- MultiRead / ReadAheadHint conformance ----------------------------------
 
@@ -322,20 +469,6 @@ TEST(MemEnvIoCountersTest, TracksReadsWritesAndReadahead) {
   EXPECT_EQ(io->readahead_hints.load(), 1u);
   // First read starts inside the hinted [0, 512) range; the second does not.
   EXPECT_EQ(io->readahead_hits.load(), 1u);
-}
-
-TEST(CountingEnvTest, ForwardsMultiReadBatchAndCountsSubReads) {
-  MemEnv base;
-  IoStats stats;
-  CountingEnv env(&base, &stats);
-  CheckMultiReadContract(&env);
-  // The batch reached MemEnv's terminal counters intact (not unrolled into
-  // per-request Read calls above it)...
-  EXPECT_EQ(base.io_counters()->multiread_batches.load(), 1u);
-  EXPECT_EQ(base.io_counters()->multiread_requests.load(), 4u);
-  // ...and the decorator accounted each successful sub-read.
-  EXPECT_EQ(stats.read_ops.load(), 4u);
-  EXPECT_EQ(stats.read_bytes.load(), 4u + 3u + 2u + 0u);
 }
 
 TEST(UnbatchedEnvTest, SerializesMultiReadIntoSingleReads) {

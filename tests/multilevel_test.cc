@@ -5,7 +5,6 @@
 #include <memory>
 #include <string>
 
-#include "io/counting_env.h"
 #include "io/mem_env.h"
 #include "multilevel/version.h"
 #include "util/coding.h"
@@ -24,11 +23,9 @@ std::string PaddedKey(uint64_t i) {
 
 class MultilevelTest : public ::testing::Test {
  protected:
-  MultilevelTest() : counting_env_(&mem_env_, &stats_) {}
-
   MultilevelOptions SmallOptions() {
     MultilevelOptions options;
-    options.env = &counting_env_;
+    options.env = &mem_env_;
     options.memtable_bytes = 64 << 10;
     options.file_bytes = 32 << 10;
     options.base_level_bytes = 128 << 10;
@@ -42,8 +39,6 @@ class MultilevelTest : public ::testing::Test {
   }
 
   MemEnv mem_env_;
-  IoStats stats_;
-  CountingEnv counting_env_;
   std::unique_ptr<MultilevelTree> tree_;
 };
 
@@ -203,14 +198,14 @@ TEST_F(MultilevelTest, ReadsCostMultipleSeeksWithoutBloom) {
   ASSERT_TRUE(tree_->CompactAll().ok());
   ASSERT_GE(tree_->NumFilesAtLevel(0), 1);
 
-  auto before = stats_.snapshot();
+  auto before = mem_env_.io_counters()->snapshot();
   const int kProbes = 200;
   Random probe_rnd(13);
   for (int i = 0; i < kProbes; i++) {
     std::string value;
     ASSERT_TRUE(tree_->Get(PaddedKey(probe_rnd.Uniform(kN)), &value).ok());
   }
-  auto diff = stats_.snapshot() - before;
+  auto diff = mem_env_.io_counters()->snapshot() - before;
   double seeks_per_read = static_cast<double>(diff.read_seeks) / kProbes;
   EXPECT_GT(seeks_per_read, 1.5)
       << "multilevel reads without bloom filters must cost several seeks";
@@ -225,12 +220,12 @@ TEST_F(MultilevelTest, BloomOptionReducesProbes) {
     ASSERT_TRUE(tree_->Put(PaddedKey(i), std::string(100, 'x')).ok());
   }
   tree_->WaitForIdle();
-  auto before = stats_.snapshot();
+  auto before = mem_env_.io_counters()->snapshot();
   for (uint64_t i = 0; i < 500; i++) {
     std::string value;
     EXPECT_TRUE(tree_->Get("absent-" + std::to_string(i), &value).IsNotFound());
   }
-  auto diff = stats_.snapshot() - before;
+  auto diff = mem_env_.io_counters()->snapshot() - before;
   // With the Riak bloom patch, negative lookups are nearly free.
   EXPECT_LT(diff.read_seeks, 100u);
 }

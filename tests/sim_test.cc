@@ -11,7 +11,7 @@ namespace {
 
 TEST(DeviceModelTest, SeekBoundWorkload) {
   DeviceModel hdd = HardDiskArray();
-  IoStats::Snapshot io{};
+  EnvIoCounters::Snapshot io{};
   io.read_seeks = 400;  // exactly one second of seeks
   io.read_bytes = 0;
   EXPECT_NEAR(hdd.DeviceSeconds(io), 1.0, 1e-9);
@@ -19,13 +19,13 @@ TEST(DeviceModelTest, SeekBoundWorkload) {
 
 TEST(DeviceModelTest, BandwidthBoundWorkload) {
   DeviceModel hdd = HardDiskArray();
-  IoStats::Snapshot io{};
+  EnvIoCounters::Snapshot io{};
   io.write_bytes = 240000000;  // one second of sequential writes
   EXPECT_NEAR(hdd.DeviceSeconds(io), 1.0, 1e-9);
 }
 
 TEST(DeviceModelTest, SsdHasFarMoreIops) {
-  IoStats::Snapshot io{};
+  EnvIoCounters::Snapshot io{};
   io.read_seeks = 10000;
   double hdd_time = HardDiskArray().DeviceSeconds(io);
   double ssd_time = SsdArray().DeviceSeconds(io);
@@ -35,7 +35,7 @@ TEST(DeviceModelTest, SsdHasFarMoreIops) {
 TEST(DeviceModelTest, SsdPenalizesRandomWrites) {
   // §5.4: "SSDs ... severely penalize random writes".
   DeviceModel ssd = SsdArray();
-  IoStats::Snapshot reads{}, writes{};
+  EnvIoCounters::Snapshot reads{}, writes{};
   reads.read_seeks = 1000;
   writes.write_seeks = 1000;
   EXPECT_GT(ssd.DeviceSeconds(writes) / ssd.DeviceSeconds(reads), 5.0);
@@ -43,7 +43,7 @@ TEST(DeviceModelTest, SsdPenalizesRandomWrites) {
 
 TEST(DeviceModelTest, OpsPerSecond) {
   DeviceModel hdd = HardDiskArray();
-  IoStats::Snapshot io{};
+  EnvIoCounters::Snapshot io{};
   io.read_seeks = 400;
   EXPECT_NEAR(hdd.OpsPerSecond(400, io), 400.0, 1e-6);
 }

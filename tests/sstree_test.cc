@@ -5,7 +5,6 @@
 #include <string>
 
 #include "buffer/block_cache.h"
-#include "io/counting_env.h"
 #include "io/mem_env.h"
 #include "lsm/record.h"
 #include "sstree/block.h"
@@ -90,14 +89,14 @@ TEST(BlockTest, TooSmallIsCorrupt) {
 
 class TreeTest : public ::testing::Test {
  protected:
-  TreeTest() : counting_env_(&mem_env_, &stats_), cache_(4 << 20) {}
+  TreeTest() : cache_(4 << 20) {}
 
   // Builds a component with `n` sequential records; returns the reader.
   std::unique_ptr<TreeReader> BuildTree(uint64_t n, size_t value_size = 100,
                                         bool bloom = true) {
     TreeBuilderOptions opts;
     opts.build_bloom = bloom;
-    TreeBuilder builder(&counting_env_, "t.tree", opts);
+    TreeBuilder builder(&mem_env_, "t.tree", opts);
     EXPECT_TRUE(builder.Open().ok());
     for (uint64_t i = 0; i < n; i++) {
       EXPECT_TRUE(builder
@@ -108,13 +107,11 @@ class TreeTest : public ::testing::Test {
     EXPECT_TRUE(builder.Finish().ok());
     std::unique_ptr<TreeReader> reader;
     EXPECT_TRUE(
-        TreeReader::Open(&counting_env_, &cache_, 1, "t.tree", &reader).ok());
+        TreeReader::Open(&mem_env_, &cache_, 1, "t.tree", &reader).ok());
     return reader;
   }
 
   MemEnv mem_env_;
-  IoStats stats_;
-  CountingEnv counting_env_;
   BlockCache cache_;
 };
 
@@ -156,12 +153,12 @@ TEST_F(TreeTest, GetMissingKeys) {
 
 TEST_F(TreeTest, BloomFilterSkipsMissingKeysWithZeroIo) {
   auto reader = BuildTree(5000);
-  auto before = stats_.snapshot();
+  auto before = mem_env_.io_counters()->snapshot();
   int admitted = 0;
   for (int i = 0; i < 1000; i++) {
     if (reader->MayContain("absent-" + std::to_string(i))) admitted++;
   }
-  auto diff = stats_.snapshot() - before;
+  auto diff = mem_env_.io_counters()->snapshot() - before;
   EXPECT_EQ(diff.read_ops, 0u) << "MayContain must not touch the disk";
   EXPECT_LT(admitted, 50);  // ~1% false positive rate
 }
@@ -199,7 +196,7 @@ TEST_F(TreeTest, IteratorSeek) {
 
 TEST_F(TreeTest, ScanReadaheadDefaultsOff) {
   auto reader = BuildTree(5000);
-  const EnvIoCounters* io = counting_env_.io_counters();
+  const EnvIoCounters* io = mem_env_.io_counters();
   uint64_t before = io->readahead_hints.load();
   auto it = reader->NewIterator();
   int n = 0;
@@ -212,7 +209,7 @@ TEST_F(TreeTest, ScanReadaheadDefaultsOff) {
 
 TEST_F(TreeTest, ScanReadaheadKnobEnablesHints) {
   auto reader = BuildTree(5000);
-  const EnvIoCounters* io = counting_env_.io_counters();
+  const EnvIoCounters* io = mem_env_.io_counters();
   uint64_t before = io->readahead_hints.load();
   auto it = reader->NewIterator(/*sequential=*/false,
                                 /*scan_readahead_bytes=*/64 << 10);
@@ -224,7 +221,7 @@ TEST_F(TreeTest, ScanReadaheadKnobEnablesHints) {
 
 TEST_F(TreeTest, SequentialIteratorHintsWithoutKnob) {
   auto reader = BuildTree(5000);
-  const EnvIoCounters* io = counting_env_.io_counters();
+  const EnvIoCounters* io = mem_env_.io_counters();
   uint64_t before = io->readahead_hints.load();
   auto it = reader->NewIterator(/*sequential=*/true);
   int n = 0;
@@ -249,9 +246,9 @@ TEST_F(TreeTest, CachedGetsCostNoSeeksAfterWarmup) {
   auto reader = BuildTree(2000);
   // Warm up.
   for (uint64_t i = 0; i < 2000; i += 100) reader->Get(PaddedKey(i), true);
-  auto before = stats_.snapshot();
+  auto before = mem_env_.io_counters()->snapshot();
   for (uint64_t i = 0; i < 2000; i += 100) reader->Get(PaddedKey(i), true);
-  auto diff = stats_.snapshot() - before;
+  auto diff = mem_env_.io_counters()->snapshot() - before;
   EXPECT_EQ(diff.read_ops, 0u);
 }
 
@@ -262,25 +259,25 @@ TEST_F(TreeTest, UncachedGetCostsOneSeekWithHotIndex) {
   Random rnd(3);
   // Statistically: with index blocks cached, each fresh Get should cost
   // about one data-block seek.
-  auto before = stats_.snapshot();
+  auto before = mem_env_.io_counters()->snapshot();
   const int kProbes = 200;
   for (int i = 0; i < kProbes; i++) {
     uint64_t k = rnd.Uniform(50000);
     reader->Get(PaddedKey(k), true);
   }
-  auto diff = stats_.snapshot() - before;
+  auto diff = mem_env_.io_counters()->snapshot() - before;
   EXPECT_LT(static_cast<double>(diff.read_seeks) / kProbes, 2.2);
 }
 
 TEST_F(TreeTest, RecordTypesPreserved) {
-  TreeBuilder builder(&counting_env_, "types.tree", TreeBuilderOptions{});
+  TreeBuilder builder(&mem_env_, "types.tree", TreeBuilderOptions{});
   ASSERT_TRUE(builder.Open().ok());
   ASSERT_TRUE(builder.Add(Ikey("del", 9, RecordType::kTombstone), "").ok());
   ASSERT_TRUE(builder.Add(Ikey("delta", 8, RecordType::kDelta), "+d").ok());
   ASSERT_TRUE(builder.Finish().ok());
   std::unique_ptr<TreeReader> reader;
   ASSERT_TRUE(
-      TreeReader::Open(&counting_env_, &cache_, 2, "types.tree", &reader).ok());
+      TreeReader::Open(&mem_env_, &cache_, 2, "types.tree", &reader).ok());
   auto del = reader->Get("del", true);
   ASSERT_TRUE(del.has_value());
   EXPECT_EQ(del->type, RecordType::kTombstone);
@@ -291,7 +288,7 @@ TEST_F(TreeTest, RecordTypesPreserved) {
 }
 
 TEST_F(TreeTest, SmallestLargestTracked) {
-  TreeBuilder builder(&counting_env_, "sl.tree", TreeBuilderOptions{});
+  TreeBuilder builder(&mem_env_, "sl.tree", TreeBuilderOptions{});
   ASSERT_TRUE(builder.Open().ok());
   ASSERT_TRUE(builder.Add(Ikey("aaa", 1), "v").ok());
   ASSERT_TRUE(builder.Add(Ikey("zzz", 2), "v").ok());
@@ -307,7 +304,7 @@ TEST_F(TreeTest, CorruptFooterRejected) {
   data[data.size() - 1] ^= 0xff;  // clobber the magic
   ASSERT_TRUE(WriteStringToFile(&mem_env_, data, "bad.tree", false).ok());
   std::unique_ptr<TreeReader> reader;
-  EXPECT_TRUE(TreeReader::Open(&counting_env_, &cache_, 3, "bad.tree", &reader)
+  EXPECT_TRUE(TreeReader::Open(&mem_env_, &cache_, 3, "bad.tree", &reader)
                   .IsCorruption());
 }
 
@@ -325,14 +322,14 @@ TEST_F(TreeTest, ForgedFooterFieldsRejected) {
   EncodeFixed32(data.data() + index_levels_at, 0xffffffffu);
   ASSERT_TRUE(WriteStringToFile(&mem_env_, data, "deep.tree", false).ok());
   std::unique_ptr<TreeReader> reader;
-  EXPECT_TRUE(TreeReader::Open(&counting_env_, &cache_, 6, "deep.tree", &reader)
+  EXPECT_TRUE(TreeReader::Open(&mem_env_, &cache_, 6, "deep.tree", &reader)
                   .IsCorruption());
 
   data = good;
   EncodeFixed64(data.data() + bloom_size_at, 1ull << 40);
   ASSERT_TRUE(WriteStringToFile(&mem_env_, data, "bloom.tree", false).ok());
   EXPECT_TRUE(
-      TreeReader::Open(&counting_env_, &cache_, 7, "bloom.tree", &reader)
+      TreeReader::Open(&mem_env_, &cache_, 7, "bloom.tree", &reader)
           .IsCorruption());
 }
 
@@ -340,7 +337,7 @@ TEST_F(TreeTest, TruncatedFileRejected) {
   ASSERT_TRUE(WriteStringToFile(&mem_env_, "short", "tiny.tree", false).ok());
   std::unique_ptr<TreeReader> reader;
   EXPECT_TRUE(
-      TreeReader::Open(&counting_env_, &cache_, 4, "tiny.tree", &reader)
+      TreeReader::Open(&mem_env_, &cache_, 4, "tiny.tree", &reader)
           .IsCorruption());
 }
 
@@ -352,7 +349,7 @@ TEST_F(TreeTest, CorruptDataBlockSurfacesAsError) {
   ASSERT_TRUE(WriteStringToFile(&mem_env_, data, "t.tree", false).ok());
   std::unique_ptr<TreeReader> reader;
   ASSERT_TRUE(
-      TreeReader::Open(&counting_env_, &cache_, 5, "t.tree", &reader).ok());
+      TreeReader::Open(&mem_env_, &cache_, 5, "t.tree", &reader).ok());
   Status io;
   auto rec = reader->Get(PaddedKey(0), true, &io);
   EXPECT_FALSE(rec.has_value());

@@ -80,12 +80,6 @@ inline uint64_t Scaled(uint64_t base) {
 
 // Paper-style geometry: values of 1000 bytes (§5.1); C0 sized so that
 // |data|/|C0| lands in the paper's regime.
-struct EngineSet {
-  std::unique_ptr<BlsmTree> blsm;
-  std::unique_ptr<btree::BTree> btree;
-  std::unique_ptr<multilevel::MultilevelTree> multilevel;
-};
-
 inline BlsmOptions DefaultBlsmOptions(Env* env) {
   BlsmOptions options;
   options.env = env;

@@ -6,11 +6,6 @@
 // long scans (1-100 rows) erase the advantage because B-tree fragmentation
 // turns leaf-chain traversal into seeks (paper: bLSM 165 vs InnoDB 86).
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <chrono>
-
 #include "harness.h"
 #include "util/random.h"
 #include "ycsb/generator.h"
@@ -34,107 +29,6 @@ ScanResult MeasureScans(blsm::bench::Workspace& ws, int probes,
       static_cast<double>(io.read_seeks) / probes,
       hdd.OpsPerSecond(probes, io),
   };
-}
-
-// Best-effort page-cache eviction so the measured scans read from the
-// device and the WILLNEED hints have something to front. Harmless on
-// filesystems that ignore DONTNEED (the comparison just runs warm).
-void EvictDir(const std::string& dir) {
-  std::vector<std::string> children;
-  if (!blsm::Env::Default()->GetChildren(dir, &children).ok()) return;
-  for (const std::string& name : children) {
-    std::string path = dir + "/" + name;
-    int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) continue;
-    ::fdatasync(fd);
-    ::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
-    ::close(fd);
-  }
-}
-
-// Readahead ablation: long scans over each compaction policy's layout, with
-// the per-scan readahead knob (kv::ReadOptions::readahead_bytes) either set
-// to a 64 KiB hint-window cap or left at its default 0 (hints off).
-// Tiered/lazy layouts stack more runs per scan, so they issue more hint
-// streams per seek position.
-void RunScanReadaheadAblation(blsm::bench::Workspace& ws, uint64_t records) {
-  using namespace blsm;
-  using namespace blsm::bench;
-
-  PrintHeader("Readahead ablation: long scans per compaction policy");
-  JsonReport report("sec56_scan_readahead");
-  const char* kPolicies[] = {"leveling", "leveling-whole", "tiering",
-                             "lazy-leveling"};
-  const int kScans = 200;
-  const size_t kScanRows = 200;
-  const uint64_t kScanReadAheadBytes = 64 << 10;
-  ycsb::ValueGenerator values(29);
-
-  printf("%-16s %10s %10s %8s %8s %8s %8s\n", "policy", "ra-on(s)",
-         "ra-off(s)", "MB-on", "MB-off", "hints", "ratio");
-  for (const char* policy : kPolicies) {
-    std::string dir = ws.Path(std::string("ml_ra_") + policy);
-    {
-      multilevel::MultilevelOptions o = DefaultMultilevelOptions(ws.env());
-      CheckOk(engine::ParseCompactionConfig(policy, &o.compaction),
-              "parse policy");
-      std::unique_ptr<multilevel::MultilevelTree> tree;
-      CheckOk(multilevel::MultilevelTree::Open(o, dir, &tree), "open");
-      Random load_rnd(41);
-      for (uint64_t i = 0; i < records; i++) {
-        uint64_t id = load_rnd.Uniform(records);
-        CheckOk(tree->Put(ycsb::FormatKey(id, false), values.Next(id, 1000)),
-                "ablation load");
-      }
-      CheckOk(tree->CompactAll(), "settle");
-    }
-
-    double elapsed[2] = {0, 0};
-    double read_mb[2] = {0, 0};
-    uint64_t hints = 0;
-    for (int off = 0; off < 2; off++) {
-      const uint64_t readahead = off == 0 ? kScanReadAheadBytes : 0;
-      multilevel::MultilevelOptions o = DefaultMultilevelOptions(ws.env());
-      CheckOk(engine::ParseCompactionConfig(policy, &o.compaction),
-              "parse policy");
-      o.read_only = true;
-      std::unique_ptr<multilevel::MultilevelTree> tree;
-      CheckOk(multilevel::MultilevelTree::Open(o, dir, &tree), "reopen");
-      EnvIoCounters::Snapshot before = ws.stats()->snapshot();
-      Random rnd(0x5eed);
-      std::vector<std::pair<std::string, std::string>> out;
-      // Page-cache eviction between short segments (untimed) keeps the
-      // measured scans cold throughout, not just for the first few seeks.
-      constexpr int kSegment = 25;
-      elapsed[off] = 0;
-      for (int done = 0; done < kScans; done += kSegment) {
-        EvictDir(dir);
-        auto t0 = std::chrono::steady_clock::now();
-        for (int i = 0; i < kSegment; i++) {
-          CheckOk(tree->Scan(ycsb::FormatKey(rnd.Uniform(records), false),
-                             kScanRows, &out, readahead),
-                  "ablation scan");
-        }
-        elapsed[off] += std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-      }
-      EnvIoCounters::Snapshot io = ws.stats()->snapshot() - before;
-      if (off == 0) hints = io.readahead_hints;
-      read_mb[off] = static_cast<double>(io.read_bytes) / 1e6;
-      report.AddRow()
-          .Str("policy", policy)
-          .Str("readahead", off == 0 ? "on" : "off")
-          .Num("readahead_bytes", static_cast<double>(readahead))
-          .Num("elapsed_seconds", elapsed[off])
-          .Num("scans_per_second", kScans / elapsed[off])
-          .Num("read_mb", read_mb[off])
-          .Num("readahead_hints", static_cast<double>(off == 0 ? hints : 0));
-    }
-    printf("%-16s %10.3f %10.3f %8.1f %8.1f %8" PRIu64 " %7.2fx\n", policy,
-           elapsed[0], elapsed[1], read_mb[0], read_mb[1], hints,
-           elapsed[1] / std::max(elapsed[0], 1e-9));
-  }
 }
 
 }  // namespace
@@ -244,7 +138,5 @@ int main() {
          "long-scan ratio (bLSM/B-tree): %.2fx\n",
          bt_short.hdd_scans_per_sec / std::max(lsm_short.hdd_scans_per_sec, 1.0),
          lsm_long.hdd_scans_per_sec / std::max(bt_long.hdd_scans_per_sec, 1.0));
-
-  RunScanReadaheadAblation(ws, kRecords / 3);
   return 0;
 }

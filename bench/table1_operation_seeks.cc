@@ -39,13 +39,6 @@ double MeasureSeeks(Workspace& ws, int probes, const Fn& op,
   for (int i = 0; i < probes; i++) op(rnd);
   if (settle) settle();
   auto diff = ws.stats()->snapshot() - before;
-  if (getenv("BLSM_DEBUG_MEASURE") != nullptr) {
-    fprintf(stderr, "[measure %llu] read_seeks=%llu write_seeks=%llu read_ops=%llu\n",
-            (unsigned long long)g_measurement_counter,
-            (unsigned long long)diff.read_seeks,
-            (unsigned long long)diff.write_seeks,
-            (unsigned long long)diff.read_ops);
-  }
   return static_cast<double>(diff.read_seeks + diff.write_seeks) / probes;
 }
 

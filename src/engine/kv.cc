@@ -31,20 +31,17 @@ namespace {
 // with no counting terminal reports zeros so the keys stay present.
 void AddIoStats(const EnvIoCounters* io,
                 std::map<std::string, uint64_t>* stats) {
-  (*stats)["io.read_bytes"] = io != nullptr ? io->read_bytes.load() : 0;
-  (*stats)["io.write_bytes"] = io != nullptr ? io->write_bytes.load() : 0;
-  (*stats)["io.syncs"] = io != nullptr ? io->syncs.load() : 0;
-  (*stats)["io.multiread_batches"] =
-      io != nullptr ? io->multiread_batches.load() : 0;
-  (*stats)["io.multiread_requests"] =
-      io != nullptr ? io->multiread_requests.load() : 0;
-  (*stats)["io.readahead_hints"] =
-      io != nullptr ? io->readahead_hints.load() : 0;
-  (*stats)["io.readahead_hits"] =
-      io != nullptr ? io->readahead_hits.load() : 0;
-  (*stats)["io.ring_writes"] = io != nullptr ? io->ring_writes.load() : 0;
-  (*stats)["io.direct_write_fallbacks"] =
-      io != nullptr ? io->direct_write_fallbacks.load() : 0;
+  const EnvIoCounters::Snapshot c =
+      io != nullptr ? io->snapshot() : EnvIoCounters::Snapshot{};
+  (*stats)["io.read_bytes"] = c.read_bytes;
+  (*stats)["io.write_bytes"] = c.write_bytes;
+  (*stats)["io.syncs"] = c.syncs;
+  (*stats)["io.multiread_batches"] = c.multiread_batches;
+  (*stats)["io.multiread_requests"] = c.multiread_requests;
+  (*stats)["io.readahead_hints"] = c.readahead_hints;
+  (*stats)["io.readahead_hits"] = c.readahead_hits;
+  (*stats)["io.ring_writes"] = c.ring_writes;
+  (*stats)["io.direct_write_fallbacks"] = c.direct_write_fallbacks;
 }
 
 // --- adapters ---------------------------------------------------------------
@@ -82,9 +79,9 @@ class BlsmEngine : public Engine {
       override {
     return tree_->ReadModifyWrite(key, update);
   }
-  Status Scan(const ReadOptions& options, const Slice& start, size_t limit,
+  Status Scan(const ReadOptions& /*options*/, const Slice& start, size_t limit,
               std::vector<std::pair<std::string, std::string>>* out) override {
-    return tree_->Scan(start, limit, out, options.readahead_bytes);
+    return tree_->Scan(start, limit, out);
   }
   Status Flush() override { return tree_->Flush(); }
   void WaitIdle() override { tree_->WaitForMergeIdle(); }
@@ -162,9 +159,9 @@ class MultilevelEngine : public Engine {
       override {
     return tree_->ReadModifyWrite(key, update);
   }
-  Status Scan(const ReadOptions& options, const Slice& start, size_t limit,
+  Status Scan(const ReadOptions& /*options*/, const Slice& start, size_t limit,
               std::vector<std::pair<std::string, std::string>>* out) override {
-    return tree_->Scan(start, limit, out, options.readahead_bytes);
+    return tree_->Scan(start, limit, out);
   }
   Status Flush() override { return tree_->CompactAll(); }
   void WaitIdle() override { tree_->WaitForIdle(); }
@@ -284,11 +281,8 @@ class BTreeEngine : public Engine {
     if (read_only_) return Status::NotSupported("engine is read-only");
     return tree_->ReadModifyWrite(key, update);
   }
-  // The B-tree reads leaf pages through its buffer pool; there is no hint
-  // stream to cap, so the readahead knob is ignored.
-  Status Scan(const ReadOptions& options, const Slice& start, size_t limit,
+  Status Scan(const ReadOptions& /*options*/, const Slice& start, size_t limit,
               std::vector<std::pair<std::string, std::string>>* out) override {
-    (void)options;
     return tree_->Scan(start, limit, out);
   }
   Status Flush() override {

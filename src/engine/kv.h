@@ -56,18 +56,9 @@ struct CommonOptions {
 };
 
 // Per-read tuning; passed by const reference so call sites can use a
-// default-constructed temporary.
-struct ReadOptions {
-  // Cap (bytes) on the scan iterator's kernel readahead-hint window. The
-  // default 0 disables per-scan hints entirely: on buffered storage the
-  // §5.6 ablation measured each WILLNEED hint as a net loss (~11 µs of
-  // submission with the kernel's own sequential readahead already covering
-  // a tight scan loop). Set a positive cap (e.g. 64 KiB) on seek-bound
-  // devices, where the hint stream is what turns N seeks into one.
-  // Merge/compaction inputs are unaffected — they always hint at the full
-  // merge window since they read their inputs to the end.
-  uint64_t readahead_bytes = 0;
-};
+// default-constructed temporary. Empty today: no per-read setting has
+// earned its place yet.
+struct ReadOptions {};
 
 // The unified engine interface: one API over bLSM, the multilevel LevelDB
 // stand-in, and the B-tree, so drivers, benches, and tools exercise all

@@ -39,6 +39,12 @@ Status UringError(const std::string& context, int err) {
 #if defined(BLSM_HAVE_IO_URING) && defined(__NR_io_uring_setup)
 #define BLSM_URING_RUNTIME 1
 
+// SQ entries per random-access file ring (batched SQEs).
+constexpr unsigned kQueueDepth = 32;
+// Alignment unit for the direct-IO path (offset, length, and buffer address
+// rounding). 4096 covers every current sector size.
+constexpr size_t kAlignment = 4096;
+
 // --- ring --------------------------------------------------------------------
 
 // One submission/completion ring. Not thread-safe; the owning file serializes
@@ -258,15 +264,14 @@ class UringRandomAccessFile final : public RandomAccessFile {
  public:
   UringRandomAccessFile(std::string fname, int fd,
                         std::unique_ptr<UringQueue> queue, bool direct,
-                        size_t alignment, EnvIoCounters* counters)
+                        EnvIoCounters* counters)
       : fname_(std::move(fname)),
         fd_(fd),
         queue_(std::move(queue)),
         direct_(direct),
-        alignment_(alignment),
         counters_(counters) {
     if (direct_) {
-      pool_ = std::make_unique<AlignedBufferPool>(alignment_, /*slabs=*/32);
+      pool_ = std::make_unique<AlignedBufferPool>(kAlignment, /*slabs=*/32);
       if (pool_->size() > 0) {
         buffers_registered_ = queue_->RegisterBuffers(pool_->Iovecs());
       }
@@ -358,16 +363,16 @@ class UringRandomAccessFile final : public RandomAccessFile {
 
   void PrepareDirect(const ReadRequest* req, UringQueue::Op* op,
                      DirectWindow* win) const {
-    win->aligned_off = req->offset & ~(alignment_ - 1);
+    win->aligned_off = req->offset & ~(kAlignment - 1);
     win->lead = static_cast<size_t>(req->offset - win->aligned_off);
     size_t want = win->lead + req->len;
-    size_t aligned_len = (want + alignment_ - 1) & ~(alignment_ - 1);
+    size_t aligned_len = (want + kAlignment - 1) & ~(kAlignment - 1);
     if (buffers_registered_) {
       win->pool_index = pool_->Acquire(aligned_len, &win->buf);
     }
     if (win->pool_index < 0) {
       void* p = nullptr;
-      if (posix_memalign(&p, alignment_, aligned_len) != 0) p = nullptr;
+      if (posix_memalign(&p, kAlignment, aligned_len) != 0) p = nullptr;
       win->buf = static_cast<char*>(p);
     }
     op->off = win->aligned_off;
@@ -419,7 +424,6 @@ class UringRandomAccessFile final : public RandomAccessFile {
   mutable util::Mutex mu_{util::lock_rank::kUringRandomAccessFileMu};  // ring
   std::unique_ptr<UringQueue> queue_;
   bool direct_;
-  size_t alignment_;
   EnvIoCounters* counters_;
   std::unique_ptr<AlignedBufferPool> pool_;
   bool buffers_registered_ = false;
@@ -442,18 +446,16 @@ class UringWritableFile final : public WritableFile {
  public:
   UringWritableFile(std::string fname, int fd,
                     std::unique_ptr<UringQueue> queue, bool direct,
-                    size_t alignment, int einval_after,
-                    EnvIoCounters* counters)
+                    int einval_after, EnvIoCounters* counters)
       : fname_(std::move(fname)),
         fd_(fd),
         queue_(std::move(queue)),
         direct_(direct),
-        alignment_(alignment),
         inject_einval_countdown_(einval_after),
         counters_(counters) {
     if (direct_) {
       void* p = nullptr;
-      if (posix_memalign(&p, alignment_, kBufferSize) != 0) p = nullptr;
+      if (posix_memalign(&p, kAlignment, kBufferSize) != 0) p = nullptr;
       aligned_buf_ = static_cast<char*>(p);
     }
     buf_used_ = 0;
@@ -496,7 +498,7 @@ class UringWritableFile final : public WritableFile {
   }
 
   size_t PreferredAppendAlignment() const override {
-    return direct_ ? alignment_ : 1;
+    return direct_ ? kAlignment : 1;
   }
 
   Status Flush() override {
@@ -645,7 +647,7 @@ class UringWritableFile final : public WritableFile {
   Status FlushTailPadded() {
     logical_size_ = flushed_offset_ + buf_used_;
     if (buf_used_ == 0) return Status::OK();
-    size_t padded = (buf_used_ + alignment_ - 1) & ~(alignment_ - 1);
+    size_t padded = (buf_used_ + kAlignment - 1) & ~(kAlignment - 1);
     memset(aligned_buf_ + buf_used_, 0, padded - buf_used_);
     Status s = WriteDirect(buf_used_, padded, flushed_offset_);
     if (!s.ok()) return s;
@@ -662,7 +664,6 @@ class UringWritableFile final : public WritableFile {
   int fd_;
   std::unique_ptr<UringQueue> queue_;  // null -> synchronous pwrite
   bool direct_;
-  size_t alignment_;
   // Test hook (UringEnvOptions::direct_write_einval_after): counts down per
   // direct write attempt; hitting zero forges one EINVAL. -1 = inactive.
   int inject_einval_countdown_;
@@ -724,7 +725,7 @@ Status UringEnv::NewRandomAccessFile(
   }
 #endif
   if (fd < 0) return UringError(fname, errno);
-  auto queue = UringQueue::Create(options_.queue_depth);
+  auto queue = UringQueue::Create(kQueueDepth);
   if (queue == nullptr) {
     // Per-file ring exhaustion (fd or memlock limits): this file falls back
     // to the base env's synchronous reads.
@@ -732,8 +733,7 @@ Status UringEnv::NewRandomAccessFile(
     return base()->NewRandomAccessFile(fname, result);
   }
   *result = std::make_unique<UringRandomAccessFile>(
-      fname, fd, std::move(queue), direct, options_.direct_io_alignment,
-      &counters_);
+      fname, fd, std::move(queue), direct, &counters_);
   return Status::OK();
 }
 
@@ -758,7 +758,7 @@ Status UringEnv::NewWritableFile(const std::string& fname,
   std::unique_ptr<UringQueue> queue;
   if (direct) queue = UringQueue::Create(/*entries=*/4);
   *result = std::make_unique<UringWritableFile>(
-      fname, fd, std::move(queue), direct, options_.direct_io_alignment,
+      fname, fd, std::move(queue), direct,
       direct ? options_.direct_write_einval_after : -1, &counters_);
   return Status::OK();
 }

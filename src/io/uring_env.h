@@ -14,11 +14,7 @@ namespace blsm {
 // with the ring) so callers keep the byte-granular Read/MultiRead contract
 // while the device sees only sector-aligned transfers.
 struct UringEnvOptions {
-  unsigned queue_depth = 32;  // SQ entries per file ring (batched SQEs)
   bool direct_io = false;
-  // Alignment unit for the direct-IO path (offset, length, and buffer
-  // address rounding). 4096 covers every current sector size.
-  size_t direct_io_alignment = 4096;
   // Test hook: forge EINVAL on the Nth direct write of each writable file
   // (-1 = never), exercising the mid-stream buffered fallback that real
   // filesystems only trigger on exotic mounts.

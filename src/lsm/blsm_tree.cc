@@ -14,6 +14,10 @@ namespace blsm {
 namespace {
 
 constexpr uint64_t kMergePausePollUs = 1000;
+// Floor on the variable R (§2.3.1).
+constexpr double kMinR = 2.0;
+// Entries a merge processes between scheduler checks.
+constexpr size_t kMergeBatchEntries = 512;
 
 }  // namespace
 
@@ -29,17 +33,10 @@ BlsmTree::BlsmTree(const BlsmOptions& options, std::string dir)
         env_, options_.io_rate_limiter);
     env_ = rate_limited_env_.get();
   }
-  if (options_.shared_block_cache != nullptr) {
-    cache_ = options_.shared_block_cache;
-  } else if (options_.block_cache_bytes > 0) {
+  if (options_.block_cache_bytes > 0) {
     cache_ = std::make_shared<BlockCache>(options_.block_cache_bytes);
   }  // else: no cache — every read hits the Env (cold-cache measurements)
-  if (options_.scheduler == SchedulerKind::kSpringGear) {
-    scheduler_ = std::make_unique<SpringGearScheduler>(
-        options_.low_watermark, options_.high_watermark);
-  } else {
-    scheduler_ = MakeScheduler(options_.scheduler);
-  }
+  scheduler_ = MakeScheduler(options_.scheduler);
   merge_op_ = options_.merge_operator != nullptr
                   ? options_.merge_operator
                   : std::make_shared<const AppendMergeOperator>();
@@ -233,7 +230,7 @@ double BlsmTree::CurrentR() const {
   if (c2_ != nullptr) disk += c2_->reader->data_bytes();
   double r = std::sqrt(static_cast<double>(disk + options_.c0_target_bytes) /
                        static_cast<double>(options_.c0_target_bytes));
-  return std::max(options_.min_r, r);
+  return std::max(kMinR, r);
 }
 
 SchedulerState BlsmTree::ComputeSchedulerState() const {
@@ -332,7 +329,7 @@ void BlsmTree::MaybeScheduleMerge1() {
   bool trigger;
   if (options_.snowshovel) {
     trigger = live >= static_cast<uint64_t>(
-                          options_.low_watermark *
+                          kSpringLowWatermark *
                           static_cast<double>(options_.c0_target_bytes));
   } else {
     trigger = frontend_->HasFrozen() || live >= options_.c0_target_bytes;
@@ -737,8 +734,7 @@ Status BlsmTree::ReadModifyWrite(
 
 // --- scans ------------------------------------------------------------------
 
-std::unique_ptr<ScanIterator> BlsmTree::NewScanIterator(
-    uint64_t readahead_bytes) {
+std::unique_ptr<ScanIterator> BlsmTree::NewScanIterator() {
   ReadViewPtr view = PinView();
   std::vector<std::unique_ptr<InternalIterator>> children;
   std::vector<std::shared_ptr<void>> pins;
@@ -748,8 +744,8 @@ std::unique_ptr<ScanIterator> BlsmTree::NewScanIterator(
   }
   for (const ComponentPtr& comp : {view->c1, view->c1_prime, view->c2}) {
     if (comp == nullptr) continue;
-    children.push_back(NewTreeComponentIterator(
-        comp->reader.get(), /*sequential=*/false, readahead_bytes));
+    children.push_back(
+        NewTreeComponentIterator(comp->reader.get(), /*sequential=*/false));
     pins.push_back(comp);
   }
   auto merged = std::make_unique<MergingIterator>(std::move(children));
@@ -758,10 +754,9 @@ std::unique_ptr<ScanIterator> BlsmTree::NewScanIterator(
 }
 
 Status BlsmTree::Scan(const Slice& start, size_t limit,
-                      std::vector<std::pair<std::string, std::string>>* out,
-                      uint64_t readahead_bytes) {
+                      std::vector<std::pair<std::string, std::string>>* out) {
   out->clear();
-  auto it = NewScanIterator(readahead_bytes);
+  auto it = NewScanIterator();
   for (it->Seek(start); it->Valid() && out->size() < limit; it->Next()) {
     out->emplace_back(it->key().ToString(), it->value().ToString());
   }
@@ -887,7 +882,7 @@ bool BlsmTree::Merge1Pending() {
   if (options_.snowshovel) {
     return requested ||
            live >= static_cast<uint64_t>(
-                       options_.low_watermark *
+                       kSpringLowWatermark *
                        static_cast<double>(options_.c0_target_bytes));
   }
   return requested || frontend_->HasFrozen() ||
@@ -945,7 +940,6 @@ Status BlsmTree::RunMerge1Pass() {
   std::string fname = Manifest::TreeFileName(dir_, file_number);
   sstree::TreeBuilderOptions bopts;
   bopts.block_size = options_.block_size;
-  bopts.bloom_bits_per_key = options_.bloom_bits_per_key;
   bopts.build_bloom = options_.use_bloom;
   // Write-behind: sealed blocks are appended on a single ordered worker so
   // the merge loop overlaps CPU (merge + compress/checksum) with file I/O.
@@ -983,7 +977,7 @@ Status BlsmTree::RunMerge1Pass() {
       s = builder.Add(out_ikey, group.value);
       if (!s.ok()) break;
     }
-    if (++since_check >= options_.merge_batch_entries) {
+    if (++since_check >= kMergeBatchEntries) {
       since_check = 0;
       if (!MergePauseWait(1)) {  // shutdown
         builder.Abandon();
@@ -1100,7 +1094,6 @@ Status BlsmTree::RunMerge2Pass() {
   std::string fname = Manifest::TreeFileName(dir_, file_number);
   sstree::TreeBuilderOptions bopts;
   bopts.block_size = options_.block_size;
-  bopts.bloom_bits_per_key = options_.bloom_bits_per_key;
   // §3.1.2: the largest component's filter is what makes "insert if not
   // exists" seek-free; bloom_on_largest=false is the ablation.
   bopts.build_bloom = options_.use_bloom && options_.bloom_on_largest;
@@ -1140,7 +1133,7 @@ Status BlsmTree::RunMerge2Pass() {
       s = builder.Add(out_ikey, group.value);
       if (!s.ok()) break;
     }
-    if (++since_check >= options_.merge_batch_entries) {
+    if (++since_check >= kMergeBatchEntries) {
       since_check = 0;
       if (!MergePauseWait(2)) {
         builder.Abandon();

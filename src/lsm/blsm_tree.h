@@ -38,18 +38,17 @@ struct BlsmOptions {
   Env* env = nullptr;  // nullptr -> Env::Default()
 
   // Geometry. R is derived per merge pass as sqrt(|data| / c0_target) and
-  // clamped to at least min_r (§2.3.1's optimal exponential sizing with
-  // N = 3 levels).
+  // clamped to at least 2 (§2.3.1's optimal exponential sizing with N = 3
+  // levels).
   size_t c0_target_bytes = 8 << 20;
-  double min_r = 2.0;
 
   size_t block_size = 4096;  // Appendix A.2
   size_t block_cache_bytes = 32 << 20;
 
-  // §3.1 Bloom filters. bloom_on_largest=false removes only C2's filter —
-  // the ablation for §3.1.2's zero-seek "insert if not exists".
+  // §3.1 Bloom filters (10 bits per key). bloom_on_largest=false removes
+  // only C2's filter — the ablation for §3.1.2's zero-seek "insert if not
+  // exists".
   bool use_bloom = true;
-  double bloom_bits_per_key = 10.0;
   bool bloom_on_largest = true;
 
   // §3.1.1 early read termination (ablation: when false, point reads visit
@@ -61,8 +60,6 @@ struct BlsmOptions {
   bool snowshovel = true;
 
   SchedulerKind scheduler = SchedulerKind::kSpringGear;
-  double low_watermark = 0.50;   // spring: fraction of c0_target
-  double high_watermark = 0.95;
 
   DurabilityMode durability = DurabilityMode::kAsync;
 
@@ -77,13 +74,6 @@ struct BlsmOptions {
 
   // Interprets delta records; default AppendMergeOperator.
   std::shared_ptr<const MergeOperator> merge_operator;
-
-  // Entries a merge processes between scheduler checks.
-  size_t merge_batch_entries = 512;
-
-  // External block cache to share across trees (else the tree makes its
-  // own of block_cache_bytes).
-  std::shared_ptr<BlockCache> shared_block_cache;
 
   // Global merge-I/O arbiter shared across trees: when set, every byte the
   // background merges write is charged to this token bucket under its job's
@@ -181,15 +171,12 @@ class BlsmTree {
 
   // Range scan from `start` (inclusive): up to `limit` user records, newest
   // versions, deltas applied, tombstones elided. Touches every component
-  // (§3.3): 2-3 seeks regardless of scan length. `readahead_bytes` caps the
-  // per-component readahead-hint window; 0 (default) leaves hints off, the
-  // right call on buffered storage (see kv::ReadOptions::readahead_bytes).
+  // (§3.3): 2-3 seeks regardless of scan length.
   Status Scan(const Slice& start, size_t limit,
-              std::vector<std::pair<std::string, std::string>>* out,
-              uint64_t readahead_bytes = 0);
+              std::vector<std::pair<std::string, std::string>>* out);
 
   // Streaming scan; see ScanIterator below.
-  std::unique_ptr<ScanIterator> NewScanIterator(uint64_t readahead_bytes = 0);
+  std::unique_ptr<ScanIterator> NewScanIterator();
 
   // Pushes C0 into C1 and waits (one synchronous merge pass).
   Status Flush();

@@ -28,9 +28,8 @@ class MemTableInternalIterator final : public InternalIterator {
 
 class TreeInternalIterator final : public InternalIterator {
  public:
-  TreeInternalIterator(const sstree::TreeReader* tree, bool sequential,
-                       uint64_t scan_readahead_bytes)
-      : it_(tree->NewIterator(sequential, scan_readahead_bytes)) {}
+  TreeInternalIterator(const sstree::TreeReader* tree, bool sequential)
+      : it_(tree->NewIterator(sequential)) {}
 
   bool Valid() const override { return it_->Valid(); }
   void SeekToFirst() override { it_->SeekToFirst(); }
@@ -52,10 +51,8 @@ std::unique_ptr<InternalIterator> NewMemTableIterator(
 }
 
 std::unique_ptr<InternalIterator> NewTreeComponentIterator(
-    const sstree::TreeReader* tree, bool sequential,
-    uint64_t scan_readahead_bytes) {
-  return std::make_unique<TreeInternalIterator>(tree, sequential,
-                                                scan_readahead_bytes);
+    const sstree::TreeReader* tree, bool sequential) {
+  return std::make_unique<TreeInternalIterator>(tree, sequential);
 }
 
 void MergingIterator::SeekToFirst() {

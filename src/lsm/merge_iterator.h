@@ -34,11 +34,8 @@ class InternalIterator {
 // Adapters. Each keeps its source alive via shared ownership where needed.
 std::unique_ptr<InternalIterator> NewMemTableIterator(
     std::shared_ptr<MemTable> mem);
-// `scan_readahead_bytes` caps the non-sequential iterator's hint window
-// (0 = hints off, the scan default); sequential iterators ignore it.
 std::unique_ptr<InternalIterator> NewTreeComponentIterator(
-    const sstree::TreeReader* tree, bool sequential,
-    uint64_t scan_readahead_bytes = 0);
+    const sstree::TreeReader* tree, bool sequential);
 
 // K-way merge of component iterators in internal-key order. Children must be
 // ordered newest component first; internal keys are unique (sequence

@@ -7,6 +7,11 @@
 
 namespace blsm {
 
+// The spring's low water mark (§4.3), as a fraction of C0's target size:
+// below it writers feel no backpressure and merge 1 pauses to let C0
+// refill. The snowshoveling tree also starts merge 1 once C0 reaches it.
+inline constexpr double kSpringLowWatermark = 0.50;
+
 // Inputs to a level scheduler (§4): the progress estimators defined in §4.1.
 //
 // For merge i (1 = C0:C1, 2 = C1':C2):
@@ -85,9 +90,6 @@ class NaiveScheduler final : public MergeScheduler {
 // snowshoveling, §4.3).
 class GearScheduler final : public MergeScheduler {
  public:
-  explicit GearScheduler(double slack = 0.05, uint64_t delay_quantum_us = 200)
-      : slack_(slack), delay_quantum_us_(delay_quantum_us) {}
-
   std::string Name() const override { return "gear"; }
   uint64_t WriteDelayMicros(const SchedulerState&) const override {
     return 0;
@@ -95,26 +97,16 @@ class GearScheduler final : public MergeScheduler {
   bool WriteBlocked(const SchedulerState& s) const override;
   bool PauseMerge1(const SchedulerState& s) const override;
   bool PauseMerge2(const SchedulerState& s) const override;
-
- private:
-  double slack_;
-  uint64_t delay_quantum_us_;
 };
 
-// Spring and gear scheduler (§4.3): C0 is a spring kept between a low and a
-// high water mark. Writers feel backpressure proportional to how far C0 has
-// filled past the low mark (hard stall only at 100%); merge 1 pauses when C0
-// drains below the low mark (so snowshoveling always has data to work with);
-// the downstream gear pacing is unchanged.
+// Spring and gear scheduler (§4.3): C0 is a spring kept between a low
+// (kSpringLowWatermark) and a high (95%) water mark. Writers feel
+// backpressure proportional to how far C0 has filled past the low mark, up
+// to 2 ms at the high mark (hard stall only at 100%); merge 1 pauses when
+// C0 drains below the low mark (so snowshoveling always has data to work
+// with); the downstream gear pacing is unchanged.
 class SpringGearScheduler final : public MergeScheduler {
  public:
-  SpringGearScheduler(double low_watermark = 0.50, double high_watermark = 0.95,
-                      uint64_t max_delay_us = 2000, double slack = 0.05)
-      : low_(low_watermark),
-        high_(high_watermark),
-        max_delay_us_(max_delay_us),
-        slack_(slack) {}
-
   std::string Name() const override { return "spring-gear"; }
   uint64_t WriteDelayMicros(const SchedulerState& s) const override;
   bool WriteBlocked(const SchedulerState& s) const override {
@@ -122,15 +114,6 @@ class SpringGearScheduler final : public MergeScheduler {
   }
   bool PauseMerge1(const SchedulerState& s) const override;
   bool PauseMerge2(const SchedulerState& s) const override;
-
-  double low_watermark() const { return low_; }
-  double high_watermark() const { return high_; }
-
- private:
-  double low_;
-  double high_;
-  uint64_t max_delay_us_;
-  double slack_;
 };
 
 enum class SchedulerKind { kNaive, kGear, kSpringGear };

@@ -147,7 +147,6 @@ Status MultilevelTree::WriteOutputFiles(InternalIterator* input,
     }
     sstree::TreeBuilderOptions bopts;
     bopts.block_size = options_.block_size;
-    bopts.bloom_bits_per_key = options_.bloom_bits_per_key;
     bopts.build_bloom = options_.use_bloom;
     builder = std::make_unique<sstree::TreeBuilder>(
         env_, TreeFileName(dir_, current_number), bopts);
@@ -242,7 +241,6 @@ Status MultilevelTree::WriteOutputFilesParallel(
     (void)output_level;
     sstree::TreeBuilderOptions bopts;
     bopts.block_size = options_.block_size;
-    bopts.bloom_bits_per_key = options_.bloom_bits_per_key;
     bopts.build_bloom = options_.use_bloom;
     sstree::TreeBuilder builder(env_, TreeFileName(dir_, b->number), bopts);
     Status s = builder.Open();

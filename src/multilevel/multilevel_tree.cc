@@ -62,9 +62,7 @@ MultilevelTree::MultilevelTree(const MultilevelOptions& options,
         env_, options_.io_rate_limiter);
     env_ = rate_limited_env_.get();
   }
-  if (options_.shared_block_cache != nullptr) {
-    cache_ = options_.shared_block_cache;
-  } else if (options_.block_cache_bytes > 0) {
+  if (options_.block_cache_bytes > 0) {
     cache_ = std::make_shared<BlockCache>(options_.block_cache_bytes);
   }
   merge_op_ = options_.merge_operator != nullptr
@@ -528,8 +526,7 @@ Status MultilevelTree::GetFromView(const Slice& key, const ReadView& view,
 
 Status MultilevelTree::Scan(
     const Slice& start, size_t limit,
-    std::vector<std::pair<std::string, std::string>>* out,
-    uint64_t readahead_bytes) {
+    std::vector<std::pair<std::string, std::string>>* out) {
   out->clear();
   ReadViewPtr view = PinView();
 
@@ -541,8 +538,8 @@ Status MultilevelTree::Scan(
   }
   for (int level = 0; level < kNumLevels; level++) {
     for (const auto& f : view->version->levels[level]) {
-      children.push_back(NewTreeComponentIterator(
-          f->reader.get(), /*sequential=*/false, readahead_bytes));
+      children.push_back(
+          NewTreeComponentIterator(f->reader.get(), /*sequential=*/false));
       pins.push_back(f);
     }
   }

@@ -71,11 +71,10 @@ struct MultilevelOptions {
 
   size_t block_size = 4096;
   size_t block_cache_bytes = 32 << 20;
-  std::shared_ptr<BlockCache> shared_block_cache;
 
-  // The Riak patch (§6): Bloom filters bolted onto LevelDB. Off by default.
+  // The Riak patch (§6): Bloom filters bolted onto LevelDB (10 bits per
+  // key). Off by default.
   bool use_bloom = false;
-  double bloom_bits_per_key = 10.0;
 
   DurabilityMode durability = DurabilityMode::kAsync;
   std::shared_ptr<const MergeOperator> merge_operator;
@@ -177,11 +176,8 @@ class MultilevelTree {
       const std::function<std::string(const std::string& old, bool absent)>&
           update);
 
-  // `readahead_bytes` caps each run iterator's readahead-hint window;
-  // 0 (default) leaves hints off (see kv::ReadOptions::readahead_bytes).
   Status Scan(const Slice& start, size_t limit,
-              std::vector<std::pair<std::string, std::string>>* out,
-              uint64_t readahead_bytes = 0);
+              std::vector<std::pair<std::string, std::string>>* out);
 
   // Flushes the memtable and compacts until every level is within target.
   Status CompactAll() EXCLUDES(mu_);

@@ -1,6 +1,6 @@
 #include "sim/device_model.h"
 
-#include <algorithm>
+#include <limits>
 
 namespace blsm {
 
@@ -16,7 +16,8 @@ double DeviceModel::DeviceSeconds(const EnvIoCounters::Snapshot& io) const {
 double DeviceModel::OpsPerSecond(uint64_t ops,
                                  const EnvIoCounters::Snapshot& io) const {
   double secs = DeviceSeconds(io);
-  if (secs <= 0) return 0;
+  // Work the device never sees (all cache hits) is never device-bound.
+  if (secs <= 0) return std::numeric_limits<double>::infinity();
   return static_cast<double>(ops) / secs;
 }
 

@@ -29,8 +29,9 @@ struct DeviceModel {
   double DeviceSeconds(const EnvIoCounters::Snapshot& io) const;
 
   // Operations/second the device sustains for a workload that issued `ops`
-  // logical operations while producing profile `io`. When the workload is
-  // CPU-bound rather than I/O-bound, callers should take
+  // logical operations while producing profile `io`; +inf when `io` costs
+  // no device time (the device is never the bottleneck). When the workload
+  // is CPU-bound rather than I/O-bound, callers should take
   // min(device_ops_per_sec, measured_ops_per_sec) themselves.
   double OpsPerSecond(uint64_t ops, const EnvIoCounters::Snapshot& io) const;
 };

@@ -141,7 +141,7 @@ Status TreeBuilder::Finish() {
   // Bloom filter over user keys (§4.4.3): sized exactly from the tracked
   // key count so the false-positive rate stays below 1%.
   if (options_.build_bloom && !user_key_hashes_.empty()) {
-    BloomFilter filter(user_key_hashes_.size(), options_.bloom_bits_per_key);
+    BloomFilter filter(user_key_hashes_.size());
     for (uint64_t h : user_key_hashes_) filter.InsertHash(h);
     std::string encoded;
     filter.EncodeTo(&encoded);
@@ -160,10 +160,8 @@ Status TreeBuilder::Finish() {
   s = DrainAppends();
   if (!s.ok()) return s;
 
-  if (options_.sync_on_finish) {
-    s = file_->Sync();
-    if (!s.ok()) return s;
-  }
+  s = file_->Sync();
+  if (!s.ok()) return s;
   return file_->Close();
 }
 

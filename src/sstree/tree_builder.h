@@ -32,10 +32,10 @@ class AppendExecutor {
 };
 
 struct TreeBuilderOptions {
-  size_t block_size = 4096;        // Appendix A.2: 4 KiB data pages
-  double bloom_bits_per_key = 10;  // <1% false positives (§4.4.3)
+  size_t block_size = 4096;  // Appendix A.2: 4 KiB data pages
+  // Bloom filter at BloomFilter's default 10 bits per key: <1% false
+  // positives (§4.4.3).
   bool build_bloom = true;
-  bool sync_on_finish = true;
   // When set, sealed blocks are handed to this executor instead of being
   // Append()ed inline, overlapping the builder's compute (sorting the next
   // block, checksumming) with file IO. Offsets are assigned at submission,
@@ -59,7 +59,8 @@ class TreeBuilder {
 
   Status Add(const Slice& internal_key, const Slice& value);
 
-  // Writes index levels, Bloom filter and footer. No Adds may follow.
+  // Writes index levels, Bloom filter and footer, then syncs the file. No
+  // Adds may follow.
   Status Finish();
 
   // Abandons the build; the caller deletes the file.

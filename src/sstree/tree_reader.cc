@@ -312,10 +312,8 @@ std::vector<std::optional<TreeReader::GetResult>> TreeReader::MultiGet(
   return results;
 }
 
-std::unique_ptr<TreeIterator> TreeReader::NewIterator(
-    bool sequential, uint64_t scan_readahead_bytes) const {
-  return std::make_unique<TreeIterator>(this, sequential,
-                                        scan_readahead_bytes);
+std::unique_ptr<TreeIterator> TreeReader::NewIterator(bool sequential) const {
+  return std::make_unique<TreeIterator>(this, sequential);
 }
 
 Status TreeReader::VerifyBlockAt(const BlockPointer& ptr, uint32_t depth,
@@ -400,20 +398,12 @@ Status TreeReader::VerifyAllBlocks(uint64_t* bad_offset) const {
 // --- TreeIterator -----------------------------------------------------------
 
 namespace {
-constexpr uint64_t kInitialReadAheadBytes = 16 << 10;
-// A scan's hinted-but-unread tail is pure wasted IO (a merge input has no
-// tail — it reads to the end), so seek-positioned iterators only hint when
-// the caller opts in with a per-scan cap (ReadOptions::readahead_bytes),
-// which is typically much smaller than the merge window.
+// The readahead window a merge input keeps hinted ahead of its traversal.
 constexpr uint64_t kMergeReadAheadCap = 256 << 10;
 }  // namespace
 
-TreeIterator::TreeIterator(const TreeReader* tree, bool sequential,
-                           uint64_t scan_readahead_bytes)
-    : tree_(tree),
-      sequential_(sequential),
-      scan_readahead_cap_(scan_readahead_bytes),
-      readahead_bytes_(sequential ? kMergeReadAheadCap : 0) {}
+TreeIterator::TreeIterator(const TreeReader* tree, bool sequential)
+    : tree_(tree), sequential_(sequential) {}
 
 bool TreeIterator::DescendFrom(size_t i, const Slice* seek_target) {
   // levels_[i] must be a valid index cursor; loads its child into
@@ -430,23 +420,13 @@ bool TreeIterator::DescendFrom(size_t i, const Slice* seek_target) {
     status_ = s;
     return false;
   }
-  if (i + 2 == levels_.size()) {
-    // Child is a data block: keep the kernel readahead frontier ahead of
-    // the traversal (merges and scans both walk data blocks in file
-    // order). The window starts small and doubles per continued descent so
-    // a seek that never advances past one block hints nothing. A zero cap
-    // (the scan default) disables hints for this iterator.
-    uint64_t cap = sequential_ ? kMergeReadAheadCap : scan_readahead_cap_;
+  if (sequential_ && i + 2 == levels_.size()) {
+    // Child is a data block of a merge input: keep the kernel readahead
+    // frontier ahead of the traversal.
     uint64_t end = ptr.offset + ptr.size;
-    if (cap > 0 && end >= readahead_until_ && end < tree_->data_bytes()) {
-      if (readahead_bytes_ == 0) {
-        // armed; hint next time
-        readahead_bytes_ = std::min(cap, kInitialReadAheadBytes);
-      } else {
-        tree_->HintReadAhead(end, readahead_bytes_);
-        readahead_until_ = end + readahead_bytes_;
-        readahead_bytes_ = std::min(cap, readahead_bytes_ * 2);
-      }
+    if (end >= readahead_until_ && end < tree_->data_bytes()) {
+      tree_->HintReadAhead(end, kMergeReadAheadCap);
+      readahead_until_ = end + kMergeReadAheadCap;
     }
   }
   Level& child = levels_[i + 1];

@@ -64,11 +64,8 @@ class TreeReader {
   // `sequential` iterators bypass the block cache and are intended for
   // merges and long scans: they read blocks in file order, which the I/O
   // accounting (correctly) treats as sequential bandwidth rather than seeks.
-  // `scan_readahead_bytes` caps the readahead-hint window of non-sequential
-  // iterators; 0 (the default) disables their hints entirely. Sequential
-  // iterators ignore it and always hint at the full merge window.
-  std::unique_ptr<TreeIterator> NewIterator(
-      bool sequential = false, uint64_t scan_readahead_bytes = 0) const;
+  // Only sequential iterators issue readahead hints.
+  std::unique_ptr<TreeIterator> NewIterator(bool sequential = false) const;
 
   uint64_t num_entries() const { return footer_.num_entries; }
   uint64_t data_bytes() const { return footer_.data_bytes; }
@@ -122,8 +119,7 @@ class TreeReader {
 // multi-level index with one cursor per level.
 class TreeIterator {
  public:
-  TreeIterator(const TreeReader* tree, bool sequential,
-               uint64_t scan_readahead_bytes);
+  TreeIterator(const TreeReader* tree, bool sequential);
 
   bool Valid() const { return valid_; }
   void SeekToFirst();
@@ -152,21 +148,14 @@ class TreeIterator {
   std::vector<Level> levels_;  // [0] = root ... back() = data block
   bool valid_ = false;
   Status status_;
-  // Data blocks sit contiguously from offset 0 in build order, so "the next
-  // blocks in the file" are exactly the blocks this iterator will visit
-  // next. Each time the traversal catches up with the hinted frontier, the
-  // next chunk is hinted. The window auto-scales: a fresh non-sequential
-  // iterator hints nothing on its first data block (a seek proves no
-  // intent to keep reading — and a multilevel scan seeks one iterator per
-  // run, most of which are read once or never), then doubles the window on
-  // each continued traversal up to the cap. Merge inputs (sequential_)
-  // start at the cap: they always read to the end. For non-sequential
-  // iterators the cap is the per-scan ReadOptions::readahead_bytes knob;
-  // its default of 0 keeps scan hints off (see EXPERIMENTS.md §5.6: on
-  // buffered storage each hint is a net loss).
-  uint64_t scan_readahead_cap_ = 0;
+  // Merge inputs (sequential_) read to the end, and data blocks sit
+  // contiguously from offset 0 in build order, so "the next blocks in the
+  // file" are exactly the blocks this iterator will visit next. Each time
+  // the traversal catches up with the hinted frontier, the next fixed
+  // window is hinted. Scans never hint: their hinted-but-unread tail is
+  // wasted IO, and on buffered storage each hint measured a net loss
+  // (EXPERIMENTS.md, "IO backend").
   uint64_t readahead_until_ = 0;
-  uint64_t readahead_bytes_ = 0;  // 0 = not armed yet
 };
 
 }  // namespace blsm::sstree

@@ -135,13 +135,13 @@ TEST(GearSchedulerTest, PauseRulesCannotDeadlock) {
 // --- Spring and gear ----------------------------------------------------------
 
 TEST(SpringGearSchedulerTest, NoBackpressureBelowLowWatermark) {
-  SpringGearScheduler sched(0.5, 0.95, 2000);
+  SpringGearScheduler sched;
   EXPECT_EQ(sched.WriteDelayMicros(MakeState(0.0)), 0u);
   EXPECT_EQ(sched.WriteDelayMicros(MakeState(0.49)), 0u);
 }
 
 TEST(SpringGearSchedulerTest, ProportionalBackpressureBetweenWatermarks) {
-  SpringGearScheduler sched(0.5, 0.95, 2000);
+  SpringGearScheduler sched;
   uint64_t d_low = sched.WriteDelayMicros(MakeState(0.55));
   uint64_t d_mid = sched.WriteDelayMicros(MakeState(0.75));
   uint64_t d_high = sched.WriteDelayMicros(MakeState(0.94));
@@ -152,16 +152,16 @@ TEST(SpringGearSchedulerTest, ProportionalBackpressureBetweenWatermarks) {
 }
 
 TEST(SpringGearSchedulerTest, DelaySaturatesAtHighWatermark) {
-  SpringGearScheduler sched(0.5, 0.95, 2000);
+  SpringGearScheduler sched;
   EXPECT_EQ(sched.WriteDelayMicros(MakeState(0.96)), 2000u);
   EXPECT_EQ(sched.WriteDelayMicros(MakeState(0.99)), 2000u);
 }
 
 TEST(SpringGearSchedulerTest, BoundedDelayIsKeyProperty) {
   // The paper's claim: spring-and-gear bounds write latency. Except for the
-  // (rare) completely-full case, the delay never exceeds max_delay_us and
+  // (rare) completely-full case, the delay never exceeds the 2 ms cap and
   // writers are never hard-blocked.
-  SpringGearScheduler sched(0.5, 0.95, 2000);
+  SpringGearScheduler sched;
   for (double fill = 0; fill < 0.999; fill += 0.001) {
     EXPECT_LE(sched.WriteDelayMicros(MakeState(fill)), 2000u) << fill;
     EXPECT_FALSE(sched.WriteBlocked(MakeState(fill))) << fill;
@@ -170,7 +170,7 @@ TEST(SpringGearSchedulerTest, BoundedDelayIsKeyProperty) {
 }
 
 TEST(SpringGearSchedulerTest, Merge1PausesWhenC0Drains) {
-  SpringGearScheduler sched(0.5, 0.95, 2000);
+  SpringGearScheduler sched;
   SchedulerState s = MakeState(0.3);  // below the low watermark
   s.merge1_active = true;
   EXPECT_TRUE(sched.PauseMerge1(s));
@@ -180,7 +180,7 @@ TEST(SpringGearSchedulerTest, Merge1PausesWhenC0Drains) {
 }
 
 TEST(SpringGearSchedulerTest, DownstreamGearPacingRetained) {
-  SpringGearScheduler sched(0.5, 0.95, 2000);
+  SpringGearScheduler sched;
   SchedulerState s = MakeState(0.7);
   s.merge1_active = true;
   s.merge2_active = true;

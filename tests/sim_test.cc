@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "sim/device_model.h"
 #include "sim/ram_requirements.h"
 #include "sim/read_amplification.h"
@@ -46,6 +48,14 @@ TEST(DeviceModelTest, OpsPerSecond) {
   EnvIoCounters::Snapshot io{};
   io.read_seeks = 400;
   EXPECT_NEAR(hdd.OpsPerSecond(400, io), 400.0, 1e-6);
+}
+
+TEST(DeviceModelTest, ZeroIoIsNeverDeviceBound) {
+  // An all-cache profile must not model as the slowest one.
+  DeviceModel hdd = HardDiskArray();
+  EnvIoCounters::Snapshot io{};
+  double ops = hdd.OpsPerSecond(400, io);
+  EXPECT_TRUE(std::isinf(ops) && ops > 0) << ops;
 }
 
 // --- Table 2 (Appendix A) ----------------------------------------------------

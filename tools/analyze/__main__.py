@@ -136,7 +136,8 @@ def main(argv: list[str]) -> int:
         violations += passes.run_allow_hygiene(
             model, lint_rules={"raw-lock", "libc-unsafe", "bench-include",
                                "read-path-lock", "write-path-sleep",
-                               "raw-io", "compaction-pick"})
+                               "raw-io", "compaction-pick",
+                               "unset-option"})
 
     stale = []
     if args.check_artifacts and not args.files:

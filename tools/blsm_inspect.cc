@@ -16,7 +16,7 @@
 //                                     its full counter map
 //   blsm_inspect io <dbdir> [--engine NAME]
 //                                     the io.* slice of the counter map plus
-//                                     derived batching/readahead ratios
+//                                     the derived MultiRead batching ratio
 //   blsm_inspect levels <dbdir>       decode a multilevel manifest (read-only,
 //                                     no engine start) and dump the active
 //                                     compaction policy plus per-level run
@@ -198,11 +198,11 @@ int RunStats(const std::string& dir, const std::string& engine_name) {
 }
 
 // `blsm_inspect io <dbdir> [--engine NAME]`: the io.* slice of the counter
-// map — bytes moved, fsyncs, MultiRead batching, and readahead efficacy of
-// the engine's Env stack — plus the derived ratios that make the raw
-// counters legible. Counters start at zero on this read-only open, so what
-// shows here is the IO that recovery + open itself performed; point it at a
-// live workload by scraping kv::Engine::Stats() instead.
+// map — bytes moved, fsyncs, MultiRead batching, and readahead hints and
+// hits of the engine's Env stack — plus requests per MultiRead batch.
+// Counters start at zero on this read-only open, so what shows here is the
+// IO that recovery + open itself performed; point it at a live workload by
+// scraping kv::Engine::Stats() instead.
 int RunIo(const std::string& dir, const std::string& engine_name) {
   using namespace blsm;
   kv::CommonOptions options;
@@ -224,12 +224,8 @@ int RunIo(const std::string& dir, const std::string& engine_name) {
   }
   uint64_t batches = stats["io.multiread_batches"];
   uint64_t requests = stats["io.multiread_requests"];
-  uint64_t hints = stats["io.readahead_hints"];
-  uint64_t hits = stats["io.readahead_hits"];
   printf("  %-32s %.2f\n", "derived.requests_per_batch",
          batches != 0 ? static_cast<double>(requests) / batches : 0.0);
-  printf("  %-32s %.2f\n", "derived.readahead_hit_rate",
-         hints != 0 ? static_cast<double>(hits) / hints : 0.0);
   return 0;
 }
 

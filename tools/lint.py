@@ -61,6 +61,23 @@ Rules (see docs/static_analysis.md):
                 is BuildCompactionInputsLocked. Execution (ExecutePick,
                 FlushMemtable) may touch the version freely.
 
+  unset-option  A field of a `struct *Options` declared under src/ that
+                nothing assigns anywhere in src/, bench/, tools/, tests/,
+                examples/ or perfbench/. A knob no caller sets has one
+                value in use: make it a named constant (or delete its dead
+                branch) so no untested configuration lingers. An
+                assignment is any member-access chain ending in `=` (or a
+                compound assignment): `.f =`, `->f =`, and the designated
+                initializer `{.f = ...}`. Every member of the chain counts
+                as set, so `options.engine.write_buffer_bytes = ...` sets
+                `engine`. Names are matched without their struct, so a
+                same-named field assigned in another struct also counts:
+                lenient by design (no false positives), at the price of
+                misses: the Bloom bits-per-key fields of BlsmOptions and
+                MultilevelOptions, never set, escaped the rule because
+                each was copied into TreeBuilderOptions' same-named
+                field, and that assignment counted for all three.
+
 All rules scan the comment- and string-stripped text of the whole file
 (shared with tools/analyze via cpp_source.clean_source), so a call whose
 argument list — or whose opening parenthesis — spans lines is still seen,
@@ -88,9 +105,12 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
-from analyze.cpp_source import clean_source  # noqa: E402
+from analyze.cpp_source import clean_source, match_forward  # noqa: E402
 
 SOURCE_DIRS = ["src", "tests", "bench", "examples", "tools"]
+# Where an *Options field may be set: every source dir plus perfbench,
+# which drives the engines but is not itself linted.
+OPTION_SETTER_DIRS = SOURCE_DIRS + ["perfbench"]
 SOURCE_SUFFIXES = {".h", ".cc", ".cpp"}
 
 # Whole-text rules: matched against the cleaned file, so `\s*\(` may cross
@@ -126,6 +146,21 @@ ENV_BASE = re.compile(
 )
 # The terminal environments and the forwarding base itself.
 ENV_DIRECT_SUBCLASSES = {"PosixEnv", "MemEnv", "EnvWrapper"}
+OPTIONS_STRUCT = re.compile(r"\bstruct\s+(?P<name>\w*Options)\s*\{")
+# A member-access chain ending in an assignment: `.f =`, `->f =`, the
+# designated initializer `{.f = ...}`, and compound assignments.
+ASSIGNED_CHAIN = re.compile(
+    r"(?:(?:\.|->)\s*[A-Za-z_]\w*\s*(?:\[[^\]]*\]\s*)*)+"
+    r"(?:[-+*/%&|^]|<<|>>)?=(?!=)"
+)
+CHAIN_MEMBER = re.compile(r"(?:\.|->)\s*([A-Za-z_]\w*)")
+TEMPLATE_ARGS = re.compile(r"<[^<>]*>")
+ACCESS_LABEL = re.compile(r"^\s*(?:public|protected|private)\s*:")
+NOT_A_FIELD = re.compile(
+    r"^(?:static|using|typedef|friend|enum|struct|class|template)\b|"
+    r"\boperator\b"
+)
+FIELD_NAME = re.compile(r"(?P<name>[A-Za-z_]\w*)\s*(?:\[[^\]]*\]\s*)*$")
 WRITE_PATH_SLEEP = re.compile(r"\b(SleepForMicroseconds|sleep_for)\s*\(")
 WRITE_PATH_FILES = (
     "src/engine/write_frontend.",
@@ -157,7 +192,66 @@ def enclosing_method(regions, offset):
     return regions[i][1] if i >= 0 else None
 
 
-def lint_file(path: Path, violations) -> None:
+def declarator(stmt):
+    """A member declaration minus its initializer and template arguments:
+    `std::map<K, V> name = {...}` -> `std::map name`."""
+    head = ACCESS_LABEL.sub("", stmt).split("=", 1)[0].split("{", 1)[0]
+    while TEMPLATE_ARGS.search(head):
+        head = TEMPLATE_ARGS.sub("", head)
+    return head.strip()
+
+
+def option_fields(clean, open_brace):
+    """[(offset, name)] of the data members declared directly in the struct
+    body that opens at clean[open_brace]. Method bodies, nested types and
+    brace initializers are skipped whole."""
+    close = match_forward(clean, open_brace)
+    fields = []
+    stmt_start = i = open_brace + 1
+    while 0 <= i < close:
+        ch = clean[i]
+        if ch in "([":
+            i = match_forward(clean, i) + 1
+            continue
+        if ch == "{":
+            end = match_forward(clean, i)
+            if "(" in declarator(clean[stmt_start:i]):  # a method body
+                stmt_start = end + 1
+            i = end + 1
+            continue
+        if ch == ";":
+            stmt = clean[stmt_start:i]
+            head = declarator(stmt)
+            m = FIELD_NAME.search(head)
+            if (m and m.start() > 0 and "(" not in head
+                    and not NOT_A_FIELD.search(head)):
+                name = m.group("name")
+                raw_head = stmt.split("=", 1)[0].split("{", 1)[0]
+                fields.append((stmt_start + raw_head.rfind(name), name))
+            stmt_start = i + 1
+        i += 1
+    return fields
+
+
+def lint_unset_options(sources, violations):
+    """The cross-file unset-option rule over {rel_path: CleanSource}."""
+    assigned = set()
+    for src in sources.values():
+        for m in ASSIGNED_CHAIN.finditer(src.clean):
+            assigned.update(CHAIN_MEMBER.findall(m.group()))
+    for rel_str, src in sources.items():
+        if not rel_str.startswith("src/"):
+            continue
+        for m in OPTIONS_STRUCT.finditer(src.clean):
+            for offset, name in option_fields(src.clean, m.end() - 1):
+                if name not in assigned:
+                    check(src, "unset-option", src.line_of(offset),
+                          f"{m.group('name')}::{name} is never set; make it "
+                          "a named constant or delete it", violations,
+                          rel_str)
+
+
+def lint_file(path: Path, violations):
     rel = path.relative_to(REPO)
     rel_str = str(rel)
     in_util = rel_str.startswith("src/util/")
@@ -169,8 +263,10 @@ def lint_file(path: Path, violations) -> None:
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError:
-        return
+        return None
     src = clean_source(rel_str, text)
+    if rel_str.startswith("perfbench/"):
+        return src  # read for unset-option's setter scan only
     clean = src.clean
 
     if not in_util:
@@ -232,17 +328,22 @@ def lint_file(path: Path, violations) -> None:
                           "direct version walk in a compaction decision; "
                           "picks go through engine::CompactionPolicy over "
                           "BuildCompactionInputsLocked", violations, rel_str)
+    return src
 
 
 def main() -> int:
     violations = []
-    for d in SOURCE_DIRS:
+    sources = {}
+    for d in OPTION_SETTER_DIRS:
         root = REPO / d
         if not root.is_dir():
             continue
         for path in sorted(root.rglob("*")):
             if path.suffix in SOURCE_SUFFIXES and path.is_file():
-                lint_file(path, violations)
+                src = lint_file(path, violations)
+                if src is not None:
+                    sources[src.path] = src
+    lint_unset_options(sources, violations)
     for path, lineno, rule, msg in violations:
         print(f"{path}:{lineno}: [{rule}] {msg}")
     if violations:

@@ -20,7 +20,7 @@ void PrintSeries(const char* name, const blsm::ycsb::RunResult& result) {
   printf("%8s %12s %14s\n", "t(s)", "ops/s", "max-latency(ms)");
   for (const auto& bucket : result.timeseries) {
     printf("%8.1f %12.0f %14.2f\n", bucket.start_seconds,
-           static_cast<double>(bucket.ops) / 0.5,
+           static_cast<double>(bucket.ops) / bucket.seconds,
            static_cast<double>(bucket.max_latency_us) / 1000.0);
   }
   printf("  latency: %s\n", result.latency_us.ToString().c_str());

@@ -7,8 +7,46 @@
 // small dips from merge hiccups; latency stays low and stable (the paper
 // reports ~2 ms with 128 unthrottled workers).
 
+#include <algorithm>
+
 #include "harness.h"
 #include "ycsb/workload.h"
+
+namespace {
+
+// The post-shift series is cut into at most this many windows whatever the
+// scale, as bench/stability does: the phase lasts a fraction of a second
+// at BLSM_BENCH_SCALE=0.25, so fixed-width windows would leave one point.
+constexpr size_t kPostShiftWindows = 16;
+
+// Merges runs of consecutive fine driver buckets into at most `windows`
+// equal-width windows. A partial last window under half a window wide
+// joins the one before it, so the run's tail is not printed as a dip.
+std::vector<blsm::ycsb::TimeBucket> Coarsen(
+    const std::vector<blsm::ycsb::TimeBucket>& fine, size_t windows) {
+  const size_t per = std::max<size_t>(1, (fine.size() + windows - 1) / windows);
+  std::vector<blsm::ycsb::TimeBucket> out;
+  auto absorb = [](blsm::ycsb::TimeBucket* w, const blsm::ycsb::TimeBucket& b) {
+    w->ops += b.ops;
+    w->seconds += b.seconds;
+    w->max_latency_us = std::max(w->max_latency_us, b.max_latency_us);
+  };
+  for (size_t i = 0; i < fine.size(); i++) {
+    if (i % per == 0) {
+      out.push_back(fine[i]);
+    } else {
+      absorb(&out.back(), fine[i]);
+    }
+  }
+  if (out.size() > 1 && out.back().seconds < out.front().seconds / 2) {
+    blsm::ycsb::TimeBucket tail = out.back();
+    out.pop_back();
+    absorb(&out.back(), tail);
+  }
+  return out;
+}
+
+}  // namespace
 
 int main() {
   using namespace blsm;
@@ -54,14 +92,16 @@ int main() {
       WorkloadSpec::ReadWriteMix(20, true, kRecords, Distribution::kZipfian);
   serving.value_size = 1000;
   dopts.operations = kServingOps;
+  // Fine buckets, coarsened below into kPostShiftWindows windows.
+  dopts.bucket_seconds = 0.005;
   auto phase2 = RunWorkload(engine.get(), serving, dopts);
 
   printf("\n--- post-shift timeseries (80%% read / 20%% blind write, "
          "zipfian)\n");
   printf("%8s %12s %14s\n", "t(s)", "ops/s", "max-latency(ms)");
-  for (const auto& bucket : phase2.timeseries) {
-    printf("%8.1f %12.0f %14.2f\n", bucket.start_seconds,
-           static_cast<double>(bucket.ops) / dopts.bucket_seconds,
+  for (const auto& bucket : Coarsen(phase2.timeseries, kPostShiftWindows)) {
+    printf("%8.3f %12.0f %14.2f\n", bucket.start_seconds,
+           static_cast<double>(bucket.ops) / bucket.seconds,
            static_cast<double>(bucket.max_latency_us) / 1000.0);
   }
   printf("\npost-shift: %.0f ops/s sustained; latency %s\n",

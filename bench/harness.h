@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "btree/btree.h"
-#include "engine/io_rate_limiter.h"
 #include "engine/kv.h"
 #include "io/env.h"
 #include "lsm/blsm_tree.h"

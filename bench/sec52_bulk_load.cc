@@ -131,6 +131,7 @@ int main() {
 
   printf("\n%-32s %9s %9s %10s %10s %10s %10s\n", "configuration", "wall-s",
          "wr-amp", "seeks/op", "p99.9(us)", "hdd-model", "ssd-model");
+  JsonReport report("sec52_bulk_load");
   for (const auto& row : rows) {
     DeviceModel hdd = HardDiskArray();
     DeviceModel ssd = SsdArray();
@@ -139,10 +140,20 @@ int main() {
     double seeks_per_op =
         static_cast<double>(row.io.read_seeks + row.io.write_seeks) /
         static_cast<double>(row.ops);
+    double hdd_ops = hdd.OpsPerSecond(row.ops, row.io);
+    double ssd_ops = ssd.OpsPerSecond(row.ops, row.io);
     printf("%-32s %9.1f %9.2f %10.2f %10.0f %10.0f %10.0f\n",
            row.label.c_str(), row.wall_seconds, write_amp, seeks_per_op,
-           row.p999_us, hdd.OpsPerSecond(row.ops, row.io),
-           ssd.OpsPerSecond(row.ops, row.io));
+           row.p999_us, hdd_ops, ssd_ops);
+    report.AddRow()
+        .Str("label", row.label)
+        .Num("ops", static_cast<double>(row.ops))
+        .Num("wall_seconds", row.wall_seconds)
+        .Num("write_amp", write_amp)
+        .Num("seeks_per_op", seeks_per_op)
+        .Num("wall_p999_us", row.p999_us)
+        .Num("hdd_model_ops_per_second", hdd_ops)
+        .Num("ssd_model_ops_per_second", ssd_ops);
   }
   printf("\nPaper check (§5.2): only bLSM combines unordered input, "
          "duplicate checks,\nsteady progress, and high device-rate load. "

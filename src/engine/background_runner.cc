@@ -131,13 +131,7 @@ void BackgroundRunner::WorkerLoop(Job* job) {
     }
 
     job->running.store(true, std::memory_order_release);
-    Status s;
-    {
-      // Tag the pass (and its retries) with the job's I/O priority so a
-      // RateLimitedEnv meters its writes under the right class.
-      ScopedIoPriority io_tag(job->spec.io_priority);
-      s = RunWithRetry(job);
-    }
+    Status s = RunWithRetry(job);
     {
       util::MutexLock l(&mu_);
       if (!s.ok() && !shutdown_.load(std::memory_order_relaxed) &&
@@ -189,8 +183,7 @@ void BackgroundRunner::BackoffWait(int attempt) {
 // --- task pipeline -----------------------------------------------------------
 
 TaskPipeline::TaskPipeline(int max_concurrency)
-    : limit_(std::max(1, max_concurrency)),
-      io_priority_index_(ScopedIoPriority::CurrentIndex()) {
+    : limit_(std::max(1, max_concurrency)) {
   workers_.reserve(static_cast<size_t>(limit_));
   for (int i = 0; i < limit_; i++) {
     workers_.emplace_back(&TaskPipeline::WorkerLoop, this);
@@ -241,13 +234,7 @@ void TaskPipeline::WorkerLoop() {
       queue_.pop_front();
       active_++;
     }
-    Status s;
-    if (io_priority_index_ >= 0) {
-      ScopedIoPriority tag(static_cast<IoPriority>(io_priority_index_));
-      s = task();
-    } else {
-      s = task();
-    }
+    Status s = task();
     {
       util::MutexLock l(&mu_);
       active_--;

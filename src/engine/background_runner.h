@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "engine/io_rate_limiter.h"
 #include "io/env.h"
 #include "sstree/tree_builder.h"
 #include "util/mutex.h"
@@ -26,12 +25,6 @@ namespace blsm::engine {
 // the AppendExecutor contract TreeBuilder needs). After any task fails,
 // Submit fails fast with the first error and drops the new task; Drain
 // waits everything out and returns that first error.
-//
-// Worker threads re-establish the ScopedIoPriority tag the *constructing*
-// thread carried, so tasks spawned from inside a merge/compaction pass are
-// still charged to the right class of a RateLimitedEnv. Without this, fanned
-// -out compaction writes would bypass the shared limiter entirely and the
-// bounded-write-latency guarantees (PR-6) would quietly evaporate.
 class TaskPipeline final : public sstree::AppendExecutor {
  public:
   explicit TaskPipeline(int max_concurrency);
@@ -46,7 +39,6 @@ class TaskPipeline final : public sstree::AppendExecutor {
   void WorkerLoop() EXCLUDES(mu_);
 
   const int limit_;
-  const int io_priority_index_;  // tag captured at construction, -1 untagged
 
   util::Mutex mu_{util::lock_rank::kTaskPipelineMu};
   util::CondVar cv_;
@@ -97,11 +89,6 @@ class BackgroundRunner {
     // attempts (successful or not) and transient re-runs.
     std::atomic<uint64_t>* passes = nullptr;
     std::atomic<uint64_t>* retries = nullptr;
-    // The worker thread runs every pass under this I/O priority tag, so a
-    // RateLimitedEnv charges the job's writes against the shared limiter's
-    // matching class. Jobs may narrow it per phase with a nested
-    // ScopedIoPriority (e.g. the memtable flush inside a compaction pass).
-    IoPriority io_priority = IoPriority::kCompaction;
   };
 
   BackgroundRunner(Env* env, const BackgroundPolicy& policy);

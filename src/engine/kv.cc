@@ -336,7 +336,6 @@ Status OpenBlsm(const CommonOptions& common, const std::string& dir,
   o.background = common.background;
   o.merge_operator = common.merge_operator;
   o.read_only = common.read_only;
-  o.io_rate_limiter = common.io_rate_limiter;
   std::unique_ptr<BlsmTree> tree;
   Status s = BlsmTree::Open(o, dir, &tree);
   if (!s.ok()) return s;
@@ -355,7 +354,6 @@ Status OpenMultilevel(const CommonOptions& common, const std::string& dir,
   o.background = common.background;
   o.merge_operator = common.merge_operator;
   o.read_only = common.read_only;
-  o.io_rate_limiter = common.io_rate_limiter;
   Status ps =
       engine::ParseCompactionConfig(common.compaction_policy, &o.compaction);
   if (!ps.ok()) return ps;

@@ -42,11 +42,6 @@ struct CommonOptions {
   // Open an existing database without mutating it (no creation, no
   // recovery rewrites, no background threads); writes fail NotSupported.
   bool read_only = false;
-  // Global merge-I/O arbiter: when set, the LSM engines charge their
-  // background (flush/merge/compaction) writes to this shared token bucket.
-  // Pass the same limiter to several engines to cap their combined
-  // background write rate. Ignored by the B-tree (no background I/O).
-  std::shared_ptr<engine::IoRateLimiter> io_rate_limiter;
   // Compaction-policy spec for the multilevel engine ("leveling",
   // "leveling-whole", "tiering", "lazy-leveling", optional "@<tier_runs>";
   // see engine::ParseCompactionConfig). Empty selects the default leveling
@@ -95,7 +90,7 @@ class Engine {
   virtual Status Scan(
       const ReadOptions& options, const Slice& start, size_t limit,
       std::vector<std::pair<std::string, std::string>>* out) = 0;
-  // Default-options convenience overload (scan readahead hints off).
+  // Convenience overload with default ReadOptions.
   Status Scan(const Slice& start, size_t limit,
               std::vector<std::pair<std::string, std::string>>* out) {
     return Scan(ReadOptions(), start, limit, out);

@@ -33,8 +33,7 @@ class ShardRouter final : public kv::Engine {
   // Opens `shards` instances of `engine_spec` (any kv::Open spec, e.g.
   // "blsm" or "multilevel:tiering") under dir/shard-<i>. The CommonOptions
   // apply to every shard — size write_buffer_bytes/block_cache_bytes as
-  // per-shard budgets, and pass one shared io_rate_limiter to arbitrate all
-  // shards' background writes against one disk budget.
+  // per-shard budgets.
   static Status Open(const kv::CommonOptions& options,
                      const std::string& engine_spec, const std::string& dir,
                      int shards, std::unique_ptr<ShardRouter>* out);

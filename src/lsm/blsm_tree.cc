@@ -26,13 +26,6 @@ constexpr size_t kMergeBatchEntries = 512;
 BlsmTree::BlsmTree(const BlsmOptions& options, std::string dir)
     : options_(options), dir_(std::move(dir)) {
   env_ = options_.env != nullptr ? options_.env : Env::Default();
-  if (options_.io_rate_limiter != nullptr) {
-    // All tree I/O goes through the limiter-aware decorator; only writes on
-    // IoPriority-tagged threads (the BackgroundRunner jobs) are metered.
-    rate_limited_env_ = std::make_unique<engine::RateLimitedEnv>(
-        env_, options_.io_rate_limiter);
-    env_ = rate_limited_env_.get();
-  }
   if (options_.block_cache_bytes > 0) {
     cache_ = std::make_shared<BlockCache>(options_.block_cache_bytes);
   }  // else: no cache — every read hits the Env (cold-cache measurements)
@@ -159,14 +152,12 @@ Status BlsmTree::OpenImpl() {
                      .pending = [this] { return Merge1Pending(); },
                      .run = [this] { return RunMerge1Pass(); },
                      .passes = &stats_.merge1_passes,
-                     .retries = &stats_.merge_retries,
-                     .io_priority = engine::IoPriority::kMerge1});
+                     .retries = &stats_.merge_retries});
     runner_->AddJob({.name = "merge2",
                      .pending = [this] { return Merge2Pending(); },
                      .run = [this] { return RunMerge2Pass(); },
                      .passes = &stats_.merge2_passes,
-                     .retries = &stats_.merge_retries,
-                     .io_priority = engine::IoPriority::kCompaction});
+                     .retries = &stats_.merge_retries});
     runner_->Start();
   }
   return Status::OK();

@@ -9,7 +9,6 @@
 
 #include "buffer/block_cache.h"
 #include "engine/background_runner.h"
-#include "engine/io_rate_limiter.h"
 #include "engine/stall_tracker.h"
 #include "engine/write_batch.h"
 #include "engine/write_frontend.h"
@@ -74,12 +73,6 @@ struct BlsmOptions {
 
   // Interprets delta records; default AppendMergeOperator.
   std::shared_ptr<const MergeOperator> merge_operator;
-
-  // Global merge-I/O arbiter shared across trees: when set, every byte the
-  // background merges write is charged to this token bucket under its job's
-  // IoPriority class, so all trees on one disk draw from one budget.
-  // Foreground I/O (WAL, user-facing manifest writes) is not metered.
-  std::shared_ptr<engine::IoRateLimiter> io_rate_limiter;
 };
 
 // Counters exposed for tests and the benchmark harness.
@@ -316,10 +309,6 @@ class BlsmTree {
 
   BlsmOptions options_;
   std::string dir_;
-  // Wraps the user Env with the shared IoRateLimiter when one is
-  // configured. Declared before every component/view member so it outlives
-  // the Component destructors that unlink files through env_.
-  std::unique_ptr<Env> rate_limited_env_;
   Env* env_ = nullptr;
   std::shared_ptr<BlockCache> cache_;
   std::unique_ptr<MergeScheduler> scheduler_;

@@ -221,9 +221,7 @@ Status MultilevelTree::WriteOutputFilesParallel(
   // batches; each completed batch is handed to the pipeline, which builds
   // the file (open/add/Finish/NewFileMeta) on a worker while the loop fills
   // the next batch. Submit's backpressure bounds memory at roughly
-  // (threads + 1) batches. Pipeline workers inherit this pass's
-  // ScopedIoPriority tag, so a shared IoRateLimiter keeps metering every
-  // byte these builders append.
+  // (threads + 1) batches.
   struct Batch {
     uint64_t number = 0;
     size_t index = 0;
@@ -331,10 +329,6 @@ Status MultilevelTree::WriteOutputFilesParallel(
 }
 
 Status MultilevelTree::FlushMemtable(std::shared_ptr<MemTable> imm) {
-  // The compact job runs under kCompaction; narrow the tag so a shared
-  // IoRateLimiter serves memtable-flush writes at the highest priority —
-  // a starved flush stalls every writer on the tree.
-  engine::ScopedIoPriority io_tag(engine::IoPriority::kFlush);
   std::vector<std::unique_ptr<InternalIterator>> children;
   children.push_back(NewMemTableIterator(imm));
   MergingIterator merged(std::move(children));

@@ -55,13 +55,6 @@ MultilevelTree::MultilevelTree(const MultilevelOptions& options,
                                std::string dir)
     : options_(options), dir_(std::move(dir)) {
   env_ = options_.env != nullptr ? options_.env : Env::Default();
-  if (options_.io_rate_limiter != nullptr) {
-    // All tree I/O goes through the limiter-aware decorator; only writes on
-    // IoPriority-tagged threads (the BackgroundRunner job) are metered.
-    rate_limited_env_ = std::make_unique<engine::RateLimitedEnv>(
-        env_, options_.io_rate_limiter);
-    env_ = rate_limited_env_.get();
-  }
   if (options_.block_cache_bytes > 0) {
     cache_ = std::make_shared<BlockCache>(options_.block_cache_bytes);
   }
@@ -211,9 +204,6 @@ Status MultilevelTree::OpenImpl() {
     job.pending = [this] { return CompactionPending(); };
     job.run = [this] { return RunCompactionPass(); };
     job.retries = &stats_.compaction_retries;
-    // Level compactions run at the lowest I/O class; FlushMemtable narrows
-    // the tag to kFlush for the pass that directly unblocks writers.
-    job.io_priority = engine::IoPriority::kCompaction;
     runner_->AddJob(std::move(job));
     runner_->Start();
   }

@@ -10,7 +10,6 @@
 #include "buffer/block_cache.h"
 #include "engine/background_runner.h"
 #include "engine/compaction_policy.h"
-#include "engine/io_rate_limiter.h"
 #include "engine/stall_tracker.h"
 #include "engine/write_batch.h"
 #include "engine/write_frontend.h"
@@ -47,8 +46,6 @@ struct MultilevelOptions {
   // only partitions the record stream. 1 = the classic serial builder.
   // Applies only where a compaction cuts multiple output files (leveled
   // partitioned merges); flushes and tiered single-run outputs stay serial.
-  // All builder writes remain charged to the pass's IoPriority class, so a
-  // shared IoRateLimiter still arbitrates the total background write rate.
   int compaction_builder_threads = 2;
 
   // L0 file-count triggers (LevelDB defaults scaled): at `slowdown` each
@@ -89,11 +86,6 @@ struct MultilevelOptions {
   // no orphan scavenging, no log restart, no background thread; writes
   // fail NotSupported.
   bool read_only = false;
-
-  // Global merge-I/O arbiter shared across trees (and with bLSM trees):
-  // when set, flush and compaction writes are charged to this token bucket
-  // under their job's IoPriority class. Foreground I/O is not metered.
-  std::shared_ptr<engine::IoRateLimiter> io_rate_limiter;
 };
 
 struct MultilevelStats {
@@ -280,10 +272,6 @@ class MultilevelTree {
   // The compaction-decision layer (pure functions of a snapshot; see
   // engine/compaction_policy.h). Fixed at Open.
   std::unique_ptr<engine::CompactionPolicy> policy_;
-  // Wraps the user Env with the shared IoRateLimiter when one is
-  // configured. Declared before every file-owning member so it outlives the
-  // FileMeta destructors that unlink runs through env_.
-  std::unique_ptr<Env> rate_limited_env_;
   Env* env_ = nullptr;
   std::shared_ptr<BlockCache> cache_;
   std::shared_ptr<const MergeOperator> merge_op_;

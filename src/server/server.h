@@ -50,8 +50,7 @@ struct ServerOptions {
   std::string engine_spec = "blsm";
   std::string dir;
   int shards = 1;
-  // Per-shard engine options. Size write_buffer_bytes as a per-shard budget;
-  // pass one shared io_rate_limiter to arbitrate all shards' merge IO.
+  // Per-shard engine options. Size write_buffer_bytes as a per-shard budget.
   kv::CommonOptions engine;
 };
 

@@ -35,11 +35,29 @@ class TimeSeries {
         std::max(buckets_[idx].max_latency_us, latency_us);
   }
 
-  std::vector<TimeBucket> Finish() EXCLUDES(mu_) {
+  // Covers [0, elapsed_us) with buckets, the last one cut short at the end
+  // of the run.
+  std::vector<TimeBucket> Finish(uint64_t elapsed_us) EXCLUDES(mu_) {
     util::MutexLock l(&mu_);
-    for (size_t i = 0; i < buckets_.size(); i++) {
-      buckets_[i].start_seconds =
-          static_cast<double>(i) * static_cast<double>(bucket_us_) / 1e6;
+    const size_t count = std::max<size_t>(
+        1, static_cast<size_t>((elapsed_us + bucket_us_ - 1) / bucket_us_));
+    if (buckets_.size() > count) {
+      // An op that ended exactly at elapsed_us opened a zero-width bucket;
+      // fold it into the one before.
+      TimeBucket& last = buckets_[count - 1];
+      for (size_t i = count; i < buckets_.size(); i++) {
+        last.ops += buckets_[i].ops;
+        last.max_latency_us =
+            std::max(last.max_latency_us, buckets_[i].max_latency_us);
+      }
+    }
+    buckets_.resize(count);
+    for (size_t i = 0; i < count; i++) {
+      uint64_t start_us = i * bucket_us_;
+      buckets_[i].start_seconds = static_cast<double>(start_us) / 1e6;
+      buckets_[i].seconds =
+          static_cast<double>(std::min(bucket_us_, elapsed_us - start_us)) /
+          1e6;
     }
     return buckets_;
   }
@@ -121,12 +139,12 @@ RunResult RunWorkload(kv::Engine* engine, const WorkloadSpec& spec,
   }
   for (auto& th : threads) th.join();
 
-  result.elapsed_seconds =
-      static_cast<double>(NowMicros() - start_us) / 1e6;
+  const uint64_t elapsed_us = NowMicros() - start_us;
+  result.elapsed_seconds = static_cast<double>(elapsed_us) / 1e6;
   result.ops = std::min<uint64_t>(next_op.load(), options.operations);
   result.errors = errors.load();
   for (const auto& h : histograms) result.latency_us.Merge(h);
-  result.timeseries = series.Finish();
+  result.timeseries = series.Finish(elapsed_us);
   if (options.io_stats != nullptr) {
     result.io = options.io_stats->snapshot() - io_before;
   }
@@ -193,12 +211,12 @@ RunResult RunLoad(kv::Engine* engine, const WorkloadSpec& spec,
   }
   for (auto& th : threads) th.join();
 
-  result.elapsed_seconds =
-      static_cast<double>(NowMicros() - start_us) / 1e6;
+  const uint64_t elapsed_us = NowMicros() - start_us;
+  result.elapsed_seconds = static_cast<double>(elapsed_us) / 1e6;
   result.ops = spec.record_count;
   result.errors = errors.load();
   for (const auto& h : histograms) result.latency_us.Merge(h);
-  result.timeseries = series.Finish();
+  result.timeseries = series.Finish(elapsed_us);
   if (options.io_stats != nullptr) {
     result.io = options.io_stats->snapshot() - io_before;
   }

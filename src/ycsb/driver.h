@@ -12,9 +12,13 @@
 
 namespace blsm::ycsb {
 
-// One interval of the run's timeseries (Figures 7 and 9).
+// One interval of the run's timeseries (Figures 7 and 9). Every bucket is
+// DriverOptions::bucket_seconds wide except the last, which ends when the
+// run does; the widths sum to RunResult::elapsed_seconds. Report a bucket's
+// rate as ops / seconds.
 struct TimeBucket {
   double start_seconds = 0;
+  double seconds = 0;
   uint64_t ops = 0;
   uint64_t max_latency_us = 0;
 };

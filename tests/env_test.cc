@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/io_rate_limiter.h"
 #include "io/fault_injection_env.h"
 #include "io/mem_env.h"
 #include "io/unbatched_env.h"
@@ -20,12 +19,11 @@ namespace {
 
 // Shared conformance suite, run against MemEnv and against every Env
 // decorator stacked directly on one: each stack must behave exactly like
-// the MemEnv it wraps (the fault injector and the rate limiter are idle).
+// the MemEnv it wraps (the fault injector is idle).
 enum class EnvStack {
   kMem,
   kWrapper,
   kUnbatched,
-  kRateLimited,
   kFaultInjection,
 };
 
@@ -40,10 +38,6 @@ class EnvTest : public ::testing::TestWithParam<EnvStack> {
         break;
       case EnvStack::kUnbatched:
         decorator_ = std::make_unique<UnbatchedEnv>(&mem_env_);
-        break;
-      case EnvStack::kRateLimited:
-        decorator_ = std::make_unique<engine::RateLimitedEnv>(
-            &mem_env_, std::make_shared<engine::IoRateLimiter>(0));
         break;
       case EnvStack::kFaultInjection:
         decorator_ = std::make_unique<FaultInjectionEnv>(&mem_env_);
@@ -175,8 +169,7 @@ TEST_P(EnvTest, IoCountersAreTheTerminalEnvs) {
 }
 
 std::string EnvStackName(const ::testing::TestParamInfo<EnvStack>& info) {
-  static const char* const kNames[] = {"Mem",       "Wrapper",
-                                       "Unbatched", "RateLimited",
+  static const char* const kNames[] = {"Mem", "Wrapper", "Unbatched",
                                        "FaultInjection"};
   return kNames[static_cast<int>(info.param)];
 }
@@ -184,8 +177,7 @@ std::string EnvStackName(const ::testing::TestParamInfo<EnvStack>& info) {
 INSTANTIATE_TEST_SUITE_P(
     Stacks, EnvTest,
     ::testing::Values(EnvStack::kMem, EnvStack::kWrapper,
-                      EnvStack::kUnbatched, EnvStack::kRateLimited,
-                      EnvStack::kFaultInjection),
+                      EnvStack::kUnbatched, EnvStack::kFaultInjection),
     EnvStackName);
 
 // --- terminal IO counters ----------------------------------------------------

@@ -2,14 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
-#include "engine/io_rate_limiter.h"
 #include "io/fault_injection_env.h"
 #include "io/mem_env.h"
 #include "lsm/blsm_tree.h"
@@ -206,115 +203,6 @@ TEST(MakeSchedulerTest, CreatesAllKinds) {
   EXPECT_EQ(MakeScheduler(SchedulerKind::kSpringGear)->Name(), "spring-gear");
 }
 
-// --- IoRateLimiter ---------------------------------------------------------
-
-using engine::IoPriority;
-using engine::IoRateLimiter;
-
-TEST(IoRateLimiterTest, UnlimitedPassesThrough) {
-  IoRateLimiter limiter(/*bytes_per_second=*/0);
-  auto start = std::chrono::steady_clock::now();
-  limiter.Request(1 << 20, IoPriority::kFlush);
-  limiter.Request(1 << 20, IoPriority::kCompaction);
-  auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
-                .count(),
-            100);
-  EXPECT_EQ(limiter.TotalBytesThrough(), 2u << 20);
-  EXPECT_EQ(limiter.BytesThrough(IoPriority::kFlush), 1u << 20);
-  EXPECT_EQ(limiter.TotalRequests(), 2u);
-}
-
-TEST(IoRateLimiterTest, TokenRefillMathPacesRequests) {
-  // 1 MiB/s with a 10 ms refill period: the initial burst covers ~10 KiB,
-  // so 150 KiB of requests must wait for ~140 KiB of refill — at least
-  // 100 ms of wall clock, and nowhere near a runaway wait.
-  IoRateLimiter limiter(1 << 20, /*env=*/nullptr,
-                        /*refill_period_micros=*/10 * 1000);
-  auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < 30; i++) {
-    limiter.Request(5 << 10, IoPriority::kMerge1);
-  }
-  auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-  EXPECT_GE(ms, 100);
-  EXPECT_LT(ms, 5000);
-  EXPECT_EQ(limiter.TotalBytesThrough(), 30u * (5 << 10));
-  EXPECT_GT(limiter.TotalWaitMicros(), 0u);
-}
-
-TEST(IoRateLimiterTest, PriorityAndFairnessPreventStarvation) {
-  // Two flush spammers saturate the high-priority queue; a lone compaction
-  // must still finish its 8 requests via the fairness escape hatch.
-  IoRateLimiter limiter(512 << 10, /*env=*/nullptr,
-                        /*refill_period_micros=*/5 * 1000);
-  std::atomic<bool> stop{false};
-  std::atomic<bool> done{false};
-  std::vector<std::thread> spammers;
-  for (int t = 0; t < 2; t++) {
-    spammers.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        limiter.Request(2048, IoPriority::kFlush);
-      }
-    });
-  }
-  std::thread low([&] {
-    for (int i = 0; i < 8; i++) {
-      limiter.Request(2048, IoPriority::kCompaction);
-    }
-    done.store(true, std::memory_order_relaxed);
-  });
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!done.load(std::memory_order_relaxed) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  stop.store(true, std::memory_order_relaxed);
-  low.join();
-  for (auto& t : spammers) t.join();
-  EXPECT_TRUE(done.load()) << "compaction starved behind flush traffic";
-  EXPECT_EQ(limiter.BytesThrough(IoPriority::kCompaction), 8u * 2048);
-}
-
-TEST(IoRateLimiterTest, ConcurrentAcquirersAccounting) {
-  // Exercised under TSan in CI: many threads on one bucket, exact byte
-  // accounting at the end.
-  IoRateLimiter limiter(8 << 20, /*env=*/nullptr,
-                        /*refill_period_micros=*/2 * 1000);
-  constexpr int kThreads = 6;
-  constexpr int kRequests = 100;
-  constexpr uint64_t kBytes = 2048;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; t++) {
-    threads.emplace_back([&, t] {
-      auto pri = static_cast<IoPriority>(t % engine::kNumIoPriorities);
-      for (int i = 0; i < kRequests; i++) limiter.Request(kBytes, pri);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(limiter.TotalBytesThrough(), kThreads * kRequests * kBytes);
-  EXPECT_EQ(limiter.TotalRequests(),
-            static_cast<uint64_t>(kThreads) * kRequests);
-}
-
-TEST(IoRateLimiterTest, SwitchingToUnlimitedReleasesWaiters) {
-  // 10 B/s with a 10 s refill period: the second request would naturally
-  // wait ~10 s. SetBytesPerSecond(0) must release it immediately.
-  IoRateLimiter limiter(10, /*env=*/nullptr,
-                        /*refill_period_micros=*/10 * 1000 * 1000);
-  limiter.Request(100, IoPriority::kFlush);  // drains the initial burst
-  auto start = std::chrono::steady_clock::now();
-  std::thread waiter([&] { limiter.Request(100, IoPriority::kFlush); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  limiter.SetBytesPerSecond(0);
-  waiter.join();
-  auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-  EXPECT_LT(ms, 5000) << "waiter not released by the switch to unlimited";
-}
-
 // --- Bounded stall escape ---------------------------------------------------
 
 // Writers hard-stalled behind background work must observe a latched
@@ -398,21 +286,17 @@ TEST(StallEscapeTest, BlsmWriterEscapesOnLatchedError) {
   env.Heal();
 }
 
-// --- Shared limiter across engines ------------------------------------------
+// --- Two engines on one Env -------------------------------------------------
 
-TEST(SharedLimiterTest, TwoEnginesBothMakeProgress) {
-  // One global budget, two trees: bLSM's C0:C1 merge draws kMerge1 tokens,
-  // the multilevel tree's flushes draw kFlush tokens, and both must keep
-  // making merge progress — the arbiter throttles, it does not wedge.
+TEST(SharedEnvTest, TwoEnginesBothMakeProgress) {
+  // A bLSM tree and a multilevel tree written concurrently on one MemEnv:
+  // both must keep making merge progress without a background error.
   MemEnv env;
-  auto limiter = std::make_shared<IoRateLimiter>(
-      16 << 20, /*env=*/nullptr, /*refill_period_micros=*/2 * 1000);
 
   BlsmOptions bopts;
   bopts.env = &env;
   bopts.c0_target_bytes = 64 << 10;
   bopts.durability = DurabilityMode::kNone;
-  bopts.io_rate_limiter = limiter;
   std::unique_ptr<BlsmTree> blsm_tree;
   ASSERT_TRUE(BlsmTree::Open(bopts, "blsm_db", &blsm_tree).ok());
 
@@ -420,7 +304,6 @@ TEST(SharedLimiterTest, TwoEnginesBothMakeProgress) {
   mopts.env = &env;
   mopts.memtable_bytes = 32 << 10;
   mopts.durability = DurabilityMode::kNone;
-  mopts.io_rate_limiter = limiter;
   std::unique_ptr<multilevel::MultilevelTree> ml_tree;
   ASSERT_TRUE(multilevel::MultilevelTree::Open(mopts, "ml_db", &ml_tree).ok());
 
@@ -444,9 +327,6 @@ TEST(SharedLimiterTest, TwoEnginesBothMakeProgress) {
   EXPECT_TRUE(ml_tree->BackgroundError().ok());
   EXPECT_GT(blsm_tree->stats().merge1_passes.load(), 0u);
   EXPECT_GT(ml_tree->stats().memtable_flushes.load(), 0u);
-  // Both trees actually drew from the shared bucket, under their own class.
-  EXPECT_GT(limiter->BytesThrough(IoPriority::kMerge1), 0u);
-  EXPECT_GT(limiter->BytesThrough(IoPriority::kFlush), 0u);
 }
 
 }  // namespace

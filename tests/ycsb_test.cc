@@ -108,6 +108,8 @@ TEST_F(DriverTest, BlsmLoadAndMixedWorkload) {
   DriverOptions dopts;
   dopts.threads = 4;
   dopts.operations = 3000;
+  // Narrow buckets so the run spans several, ending in a partial one.
+  dopts.bucket_seconds = 0.001;
   auto load = RunLoad(engine.get(), spec, dopts, false, false);
   EXPECT_EQ(load.ops, 2000u);
   EXPECT_EQ(load.errors, 0u);
@@ -117,10 +119,24 @@ TEST_F(DriverTest, BlsmLoadAndMixedWorkload) {
   EXPECT_EQ(run.ops, 3000u);
   EXPECT_EQ(run.errors, 0u);
   EXPECT_EQ(run.latency_us.count(), 3000u);
-  EXPECT_FALSE(run.timeseries.empty());
-  uint64_t ts_ops = 0;
-  for (const auto& b : run.timeseries) ts_ops += b.ops;
-  EXPECT_EQ(ts_ops, 3000u);
+
+  // Each bucket carries its own width: full buckets are bucket_seconds
+  // wide, the last ends with the run, so ops / seconds is a true rate and
+  // the widths tile the run exactly.
+  for (const RunResult* r : {&load, &run}) {
+    ASSERT_FALSE(r->timeseries.empty());
+    uint64_t ts_ops = 0;
+    double width_sum = 0;
+    for (const auto& b : r->timeseries) {
+      ts_ops += b.ops;
+      width_sum += b.seconds;
+      EXPECT_GE(b.seconds, 0.0);
+      EXPECT_LE(b.seconds, dopts.bucket_seconds + 1e-9);
+      EXPECT_NEAR(b.start_seconds, width_sum - b.seconds, 1e-9);
+    }
+    EXPECT_EQ(ts_ops, r->ops);
+    EXPECT_NEAR(width_sum, r->elapsed_seconds, 1e-6);
+  }
 }
 
 TEST_F(DriverTest, BTreeAdapter) {

@@ -179,7 +179,7 @@ void RunCompactionRep(Env* env, const std::string& dir, uint64_t records,
   // moments after the flush that wrote them, i.e. page-cache warm. That
   // also makes the measurement honest about where the backend helps — the
   // merge is CPU + write/fsync bound, which is exactly what parallel
-  // output builds and write-behind overlap.
+  // output builds overlap.
   multilevel::MultilevelOptions o = CompactionBenchOptions(env);
   o.compaction_builder_threads = builder_threads;
   double t0 = Now();

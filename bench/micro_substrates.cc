@@ -1,12 +1,15 @@
 // google-benchmark microbenchmarks for the substrates: Bloom filter,
 // skiplist/memtable, CRC32C, hashing, Zipfian generation, block cache, and
 // WAL appends. Sanity checks that no substrate is pathologically slow
-// relative to the I/O costs the paper reasons about.
+// relative to the I/O costs the paper reasons about. BM_BlsmLoadDrain is
+// the one whole-tree case: the CPU cost of bLSM's merges.
 
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include "bloom/bloom_filter.h"
 #include "buffer/block_cache.h"
+#include "harness.h"
 #include "io/mem_env.h"
 #include "memtable/memtable.h"
 #include "util/crc32c.h"
@@ -182,6 +185,67 @@ void BM_HistogramAdd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HistogramAdd);
+
+double CpuSeconds(const rusage& ru) {
+  auto secs = [](const timeval& tv) { return tv.tv_sec + tv.tv_usec / 1e6; };
+  return secs(ru.ru_utime) + secs(ru.ru_stime);
+}
+
+// Load and drain: range(0) thousand random-key 1000 B Puts into a kAsync
+// BlsmTree with an 8 MiB C0 on real files (Env::Default()), then
+// WaitForMergeIdle, so every C0->C1 and C1->C2 merge the load triggers runs
+// to completion inside the timed region. One iteration; the time is
+// wall-clock. The counters are getrusage(RUSAGE_SELF) deltas over the same
+// region, so cpu_s covers every thread (writer and both merge threads) and
+// vol_ctx_switches counts the hand-offs between them.
+void BM_BlsmLoadDrain(benchmark::State& state) {
+  const uint64_t n = static_cast<uint64_t>(state.range(0)) * 1000;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto ws = std::make_unique<bench::Workspace>("load_drain");
+    std::unique_ptr<BlsmTree> tree;
+    bench::CheckOk(BlsmTree::Open(bench::DefaultBlsmOptions(ws->env()),
+                                  ws->Path("db"), &tree),
+                   "open");
+    Random rnd(301);
+    const std::string value(1000, 'v');
+    char key[32];
+    rusage before;
+    getrusage(RUSAGE_SELF, &before);
+    state.ResumeTiming();
+
+    for (uint64_t i = 0; i < n; i++) {
+      snprintf(key, sizeof(key), "key%016llu",
+               static_cast<unsigned long long>(rnd.Next()));
+      bench::CheckOk(tree->Put(key, value), "put");
+    }
+    tree->WaitForMergeIdle();
+
+    state.PauseTiming();
+    rusage after;
+    getrusage(RUSAGE_SELF, &after);
+    const BlsmStats& st = tree->stats();
+    state.counters["cpu_s"] = CpuSeconds(after) - CpuSeconds(before);
+    state.counters["vol_ctx_switches"] =
+        static_cast<double>(after.ru_nvcsw - before.ru_nvcsw);
+    state.counters["merge_MiB"] =
+        static_cast<double>(st.merge1_bytes_out.load() +
+                            st.merge2_bytes_out.load()) /
+        (1 << 20);
+    state.counters["merge1_passes"] =
+        static_cast<double>(st.merge1_passes.load());
+    state.counters["merge2_passes"] =
+        static_cast<double>(st.merge2_passes.load());
+    tree.reset();
+    ws.reset();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_BlsmLoadDrain)
+    ->Arg(300)
+    ->Iterations(1)
+    ->UseRealTime()
+    ->Unit(benchmark::kSecond);
 
 }  // namespace
 }  // namespace blsm

@@ -7,8 +7,9 @@
 // naive scheduler and the LevelDB stand-in post long write pauses at merge
 // boundaries, while the spring evens them into small, bounded delays.
 //
-// Exits 1 unless spring-and-gear's worst stall is below the naive
-// scheduler's, so the §4 claim is a check rather than a printed note.
+// Exits 1 unless the naive scheduler's worst stall is more than
+// kMinNaiveOverSpringStall times spring-and-gear's, so the §4 claim is a
+// check rather than a printed note.
 //
 // Output: BENCH_stability.json with one row per (engine, window) plus a
 // summary row per engine; "row_type" distinguishes them.
@@ -27,6 +28,13 @@ namespace {
 
 using namespace blsm;
 using namespace blsm::bench;
+
+// A ratio, not a plain "below": two naive runs differ by up to 6x, so a
+// build running naive in place of spring-gear passed "below" in 4 of 10
+// runs. At BLSM_BENCH_SCALE=0.05 correct code measured naive/spring-gear
+// >= 2.8x in every run (>= 7.6x once merges appended inline), and that
+// mutant <= 1.34x.
+constexpr double kMinNaiveOverSpringStall = 2.0;
 
 uint64_t StatOr0(const std::map<std::string, uint64_t>& stats,
                  const std::string& key) {
@@ -226,11 +234,13 @@ int main() {
 
   printf("\nspring-gear max stall: %.0f us   naive max stall: %.0f us\n",
          blsm_spring_max_stall, blsm_naive_max_stall);
-  if (blsm_spring_max_stall < blsm_naive_max_stall) {
-    printf("OK: spring-and-gear bounds the worst stall below the naive "
-           "scheduler's.\n");
+  if (blsm_naive_max_stall >
+      kMinNaiveOverSpringStall * blsm_spring_max_stall) {
+    printf("OK: naive's worst stall is more than %.1fx spring-and-gear's.\n",
+           kMinNaiveOverSpringStall);
     return 0;
   }
-  printf("FAIL: spring-gear max stall not below naive.\n");
+  printf("FAIL: naive's worst stall is not more than %.1fx spring-gear's.\n",
+         kMinNaiveOverSpringStall);
   return 1;
 }

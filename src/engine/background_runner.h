@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "io/env.h"
-#include "sstree/tree_builder.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -18,22 +17,20 @@
 namespace blsm::engine {
 
 // Bounded fan-out for the parallel stretches inside one background pass:
-// compaction output-file builds, write-behind block appends. A fixed crew of
+// compaction output-file builds, one whole file per task. A fixed crew of
 // worker threads consumes a FIFO queue; Submit blocks once
-// queued + running == max_concurrency (backpressure, and with
-// max_concurrency == 1 it degenerates to an ordered write-behind channel —
-// the AppendExecutor contract TreeBuilder needs). After any task fails,
+// queued + running == max_concurrency (backpressure). After any task fails,
 // Submit fails fast with the first error and drops the new task; Drain
 // waits everything out and returns that first error.
-class TaskPipeline final : public sstree::AppendExecutor {
+class TaskPipeline {
  public:
   explicit TaskPipeline(int max_concurrency);
-  ~TaskPipeline() override;  // drains, then joins the workers
+  ~TaskPipeline();  // drains, then joins the workers
   TaskPipeline(const TaskPipeline&) = delete;
   TaskPipeline& operator=(const TaskPipeline&) = delete;
 
-  Status Submit(std::function<Status()> task) override EXCLUDES(mu_);
-  Status Drain() override EXCLUDES(mu_);
+  Status Submit(std::function<Status()> task) EXCLUDES(mu_);
+  Status Drain() EXCLUDES(mu_);
 
  private:
   void WorkerLoop() EXCLUDES(mu_);

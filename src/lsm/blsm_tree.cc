@@ -932,11 +932,6 @@ Status BlsmTree::RunMerge1Pass() {
   sstree::TreeBuilderOptions bopts;
   bopts.block_size = options_.block_size;
   bopts.build_bloom = options_.use_bloom;
-  // Write-behind: sealed blocks are appended on a single ordered worker so
-  // the merge loop overlaps CPU (merge + compress/checksum) with file I/O.
-  // One worker keeps the append order the file format requires.
-  engine::TaskPipeline append_pipeline(/*max_concurrency=*/1);
-  bopts.append_executor = &append_pipeline;
   sstree::TreeBuilder builder(env_, fname, bopts);
   Status s = builder.Open();
   if (!s.ok()) {
@@ -1088,9 +1083,6 @@ Status BlsmTree::RunMerge2Pass() {
   // §3.1.2: the largest component's filter is what makes "insert if not
   // exists" seek-free; bloom_on_largest=false is the ablation.
   bopts.build_bloom = options_.use_bloom && options_.bloom_on_largest;
-  // Same write-behind arrangement as the C0→C1 merge above.
-  engine::TaskPipeline append_pipeline(/*max_concurrency=*/1);
-  bopts.append_executor = &append_pipeline;
   sstree::TreeBuilder builder(env_, fname, bopts);
   Status s = builder.Open();
   if (!s.ok()) {

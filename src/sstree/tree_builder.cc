@@ -11,14 +11,6 @@ TreeBuilder::TreeBuilder(Env* env, std::string fname,
                          TreeBuilderOptions options)
     : env_(env), fname_(std::move(fname)), options_(options) {}
 
-TreeBuilder::~TreeBuilder() {
-  // An error-path exit from Finish() can leave appends queued; they capture
-  // file_ by raw pointer and must complete before it is destroyed.
-  if (file_ != nullptr) {
-    DrainAppends().IgnoreError("tearing down; Finish already reported");
-  }
-}
-
 Status TreeBuilder::Open() { return env_->NewWritableFile(fname_, &file_); }
 
 Status TreeBuilder::Add(const Slice& internal_key, const Slice& value) {
@@ -61,26 +53,12 @@ Status TreeBuilder::WriteBlock(const Slice& payload, BlockPointer* out) {
   SealBlock(payload, &sealed);
   out->offset = offset_;
   out->size = sealed.size();
-  return AppendSealed(std::move(sealed));
+  return AppendSealed(sealed);
 }
 
-Status TreeBuilder::AppendSealed(std::string data) {
+Status TreeBuilder::AppendSealed(const Slice& data) {
   offset_ += data.size();
-  if (options_.append_executor != nullptr) {
-    // The offset was claimed above, synchronously; the executor preserves
-    // submission order per file, so the bytes land at exactly that offset
-    // while this thread moves on to sealing the next block.
-    return options_.append_executor->Submit(
-        [file = file_.get(), payload = std::move(data)] {
-          return file->Append(payload);
-        });
-  }
   return file_->Append(data);
-}
-
-Status TreeBuilder::DrainAppends() {
-  if (options_.append_executor == nullptr) return Status::OK();
-  return options_.append_executor->Drain();
 }
 
 Status TreeBuilder::Finish() {
@@ -147,17 +125,13 @@ Status TreeBuilder::Finish() {
     filter.EncodeTo(&encoded);
     footer.bloom_offset = offset_;
     footer.bloom_size = encoded.size();
-    s = AppendSealed(std::move(encoded));
+    s = AppendSealed(encoded);
     if (!s.ok()) return s;
   }
 
   std::string footer_bytes;
   footer.EncodeTo(&footer_bytes);
-  s = AppendSealed(std::move(footer_bytes));
-  if (!s.ok()) return s;
-
-  // Every queued append must have hit the file before it is made durable.
-  s = DrainAppends();
+  s = AppendSealed(footer_bytes);
   if (!s.ok()) return s;
 
   s = file_->Sync();
@@ -168,10 +142,6 @@ Status TreeBuilder::Finish() {
 void TreeBuilder::Abandon() {
   finished_ = true;
   if (file_ != nullptr) {
-    // Queued appends hold a raw pointer to the file; they must run (or
-    // fail) before the file can be closed out from under them.
-    DrainAppends().IgnoreError(
-        "abandoned output is deleted by the caller either way");
     file_->Close().IgnoreError(
         "abandoned output is deleted by the caller either way");
     file_.reset();

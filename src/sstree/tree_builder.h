@@ -2,7 +2,6 @@
 #define BLSM_SSTREE_TREE_BUILDER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,44 +12,20 @@
 
 namespace blsm::sstree {
 
-// Deferred-execution sink for builder file appends. An implementation runs
-// submitted tasks asynchronously but IN SUBMISSION ORDER with respect to any
-// one file (the builder relies on that: block offsets are assigned at
-// enqueue time, so reordered appends would interleave the file). Submit may
-// block for backpressure; after any task fails, Submit fails fast with the
-// first error and drops the new task. Drain blocks until everything
-// submitted has run and returns the first error.
-//
-// The interface lives here (not in the engine layer) so sstree stays free
-// of engine dependencies; engine::BackgroundRunner::TaskPipeline is the
-// production implementation.
-class AppendExecutor {
- public:
-  virtual ~AppendExecutor() = default;
-  virtual Status Submit(std::function<Status()> task) = 0;
-  virtual Status Drain() = 0;
-};
-
 struct TreeBuilderOptions {
   size_t block_size = 4096;  // Appendix A.2: 4 KiB data pages
   // Bloom filter at BloomFilter's default 10 bits per key: <1% false
   // positives (§4.4.3).
   bool build_bloom = true;
-  // When set, sealed blocks are handed to this executor instead of being
-  // Append()ed inline, overlapping the builder's compute (sorting the next
-  // block, checksumming) with file IO. Offsets are assigned at submission,
-  // so the executor must preserve per-file submission order. The builder
-  // drains before Sync/Close and before Abandon. Not owned.
-  AppendExecutor* append_executor = nullptr;
 };
 
 // Streams sorted records into a new on-disk tree component. Records must be
 // Add()ed in strictly increasing internal-key order (merges produce exactly
-// that). Single-threaded: one builder per merge.
+// that). Single-threaded: one builder per merge, and each sealed block is
+// appended to the file on the calling thread.
 class TreeBuilder {
  public:
   TreeBuilder(Env* env, std::string fname, TreeBuilderOptions options);
-  ~TreeBuilder();
   TreeBuilder(const TreeBuilder&) = delete;
   TreeBuilder& operator=(const TreeBuilder&) = delete;
 
@@ -74,10 +49,8 @@ class TreeBuilder {
  private:
   Status FlushDataBlock();
   Status WriteBlock(const Slice& payload, BlockPointer* out);
-  // Appends `data` at the current offset, inline or via the executor.
-  Status AppendSealed(std::string data);
-  // Waits out the executor's queue (no-op without one).
-  Status DrainAppends();
+  // Appends `data` to the file at the current offset.
+  Status AppendSealed(const Slice& data);
 
   Env* env_;
   std::string fname_;

@@ -5,6 +5,34 @@
 
 namespace blsm::sstree {
 
+namespace {
+
+// Checks a block whose `ptr.size` raw bytes `raw` were read into `*buf`, then
+// trims the checksum trailer so `*buf` holds just the payload. Errors carry
+// the component's identity: "which file, which block" is what a repair
+// workflow (blsm_inspect verify) needs to act on.
+Status FinishBlockRead(const std::string& fname, const BlockPointer& ptr,
+                       const Slice& raw, std::string* buf) {
+  if (raw.size() != ptr.size) {
+    return Status::Corruption(fname + " @" + std::to_string(ptr.offset) +
+                              ": short block read");
+  }
+  Slice payload;
+  Status s = VerifyBlock(raw, &payload);
+  if (!s.ok()) {
+    return Status::Corruption(fname + " @" + std::to_string(ptr.offset) +
+                              ": " + s.ToString());
+  }
+  if (raw.data() == buf->data()) {
+    buf->resize(payload.size());
+  } else {  // the Env handed back bytes outside the scratch buffer
+    buf->assign(payload.data(), payload.size());
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Status TreeReader::Open(Env* env, BlockCache* cache, uint64_t file_id,
                         const std::string& fname,
                         std::unique_ptr<TreeReader>* out) {
@@ -67,23 +95,12 @@ Status TreeReader::ReadBlock(const BlockPointer& ptr, bool fill_cache,
       return Status::OK();
     }
   }
-  std::string raw(ptr.size, '\0');
-  Slice raw_slice;
-  Status s = file_->Read(ptr.offset, ptr.size, &raw_slice, raw.data());
+  auto block = std::make_shared<std::string>(ptr.size, '\0');
+  Slice raw;
+  Status s = file_->Read(ptr.offset, ptr.size, &raw, block->data());
   if (!s.ok()) return s;
-  if (raw_slice.size() != ptr.size) {
-    return Status::Corruption(fname_ + " @" + std::to_string(ptr.offset) +
-                              ": short block read");
-  }
-  Slice payload;
-  s = VerifyBlock(raw_slice, &payload);
-  if (!s.ok()) {
-    // Attach the component's identity: "which file, which block" is what a
-    // repair workflow (blsm_inspect verify) needs to act on.
-    return Status::Corruption(fname_ + " @" + std::to_string(ptr.offset) +
-                              ": " + s.ToString());
-  }
-  auto block = std::make_shared<std::string>(payload.data(), payload.size());
+  s = FinishBlockRead(fname_, ptr, raw, block.get());
+  if (!s.ok()) return s;
   if (cache_ != nullptr && fill_cache) {
     cache_->Insert(file_id_, ptr.offset, block);
   }
@@ -218,6 +235,7 @@ std::vector<std::optional<TreeReader::GetResult>> TreeReader::MultiGet(
     BlockCache::BlockHandle handle;  // null until fetched
     Status status;
     size_t batch_index = 0;  // position in `batch` when it is a cache miss
+    std::shared_ptr<std::string> buf;  // a miss's read target
     bool miss = false;
   };
   std::vector<BlockSlot> blocks;
@@ -236,22 +254,16 @@ std::vector<std::optional<TreeReader::GetResult>> TreeReader::MultiGet(
     plans[i].block_slot = blocks.size() - 1;
   }
 
-  // One batched submission for every miss. scratch_arena is sized up front
-  // so the per-request scratch pointers stay stable.
+  // One batched submission for every miss, each read straight into the
+  // buffer that becomes its cached block.
   std::vector<ReadRequest> batch;
-  size_t scratch_bytes = 0;
-  for (auto& slot : blocks) {
-    if (slot.miss) scratch_bytes += slot.ptr.size;
-  }
-  std::string scratch_arena(scratch_bytes, '\0');
-  size_t scratch_pos = 0;
   for (auto& slot : blocks) {
     if (!slot.miss) continue;
+    slot.buf = std::make_shared<std::string>(slot.ptr.size, '\0');
     ReadRequest req;
     req.offset = slot.ptr.offset;
     req.len = slot.ptr.size;
-    req.scratch = scratch_arena.data() + scratch_pos;
-    scratch_pos += slot.ptr.size;
+    req.scratch = slot.buf->data();
     slot.batch_index = batch.size();
     batch.push_back(req);
   }
@@ -259,30 +271,19 @@ std::vector<std::optional<TreeReader::GetResult>> TreeReader::MultiGet(
     Status s = file_->MultiRead(batch.data(), batch.size());
     for (auto& slot : blocks) {
       if (!slot.miss) continue;
-      ReadRequest& req = batch[slot.batch_index];
+      const ReadRequest& req = batch[slot.batch_index];
       Status rs = s.ok() ? req.status : s;
-      if (rs.ok() && req.result.size() != slot.ptr.size) {
-        rs = Status::Corruption(fname_ + " @" +
-                                std::to_string(slot.ptr.offset) +
-                                ": short block read");
-      }
-      Slice payload;
       if (rs.ok()) {
-        rs = VerifyBlock(req.result, &payload);
-        if (!rs.ok()) {
-          rs = Status::Corruption(fname_ + " @" +
-                                  std::to_string(slot.ptr.offset) + ": " +
-                                  rs.ToString());
-        }
+        rs = FinishBlockRead(fname_, slot.ptr, req.result, slot.buf.get());
       }
       if (!rs.ok()) {
         slot.status = rs;
         continue;
       }
-      auto block =
-          std::make_shared<std::string>(payload.data(), payload.size());
-      if (cache_ != nullptr) cache_->Insert(file_id_, slot.ptr.offset, block);
-      slot.handle = std::move(block);
+      if (cache_ != nullptr) {
+        cache_->Insert(file_id_, slot.ptr.offset, slot.buf);
+      }
+      slot.handle = std::move(slot.buf);
     }
   }
 

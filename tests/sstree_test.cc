@@ -5,11 +5,13 @@
 #include <string>
 
 #include "buffer/block_cache.h"
+#include "io/fault_injection_env.h"
 #include "io/mem_env.h"
 #include "lsm/record.h"
 #include "sstree/block.h"
 #include "sstree/tree_builder.h"
 #include "sstree/tree_reader.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 
 namespace blsm::sstree {
@@ -358,6 +360,53 @@ TEST_F(TreeTest, DataBytesReflectsValueVolume) {
   auto reader = BuildTree(1000, 1000);
   EXPECT_GT(reader->data_bytes(), 1000u * 1000u);
   EXPECT_LT(reader->data_bytes(), 1200u * 1000u);
+}
+
+// Pins the builder's on-disk format: a fixed input must produce the same
+// bytes however the builder schedules its appends.
+TEST_F(TreeTest, BuilderOutputIsByteStable) {
+  TreeBuilderOptions opts;
+  TreeBuilder builder(&mem_env_, "stable.tree", opts);
+  ASSERT_TRUE(builder.Open().ok());
+  for (uint64_t i = 0; i < 5000; i++) {
+    const RecordType type = i % 11 == 0  ? RecordType::kTombstone
+                            : i % 7 == 0 ? RecordType::kDelta
+                                         : RecordType::kBase;
+    const std::string value =
+        type == RecordType::kTombstone
+            ? std::string()
+            : std::string(i * 37 % 200 + 1, static_cast<char>('a' + i % 26));
+    ASSERT_TRUE(builder.Add(Ikey(PaddedKey(i), i + 1, type), value).ok());
+  }
+  ASSERT_TRUE(builder.Finish().ok());
+  std::string data;
+  ASSERT_TRUE(ReadFileToString(&mem_env_, "stable.tree", &data).ok());
+  EXPECT_EQ(data.size(), builder.file_size());
+  EXPECT_EQ(data.size(), 594869u);
+  EXPECT_EQ(crc32c::Value(data.data(), data.size()), 4020701573u);
+}
+
+// A failed block append must reach the caller, and the failed build must
+// still tear down cleanly.
+TEST_F(TreeTest, BuilderSurfacesAppendError) {
+  FaultInjectionEnv env(&mem_env_);
+  TreeBuilder builder(&env, "fail.tree", TreeBuilderOptions());
+  ASSERT_TRUE(builder.Open().ok());
+  FaultPolicy policy;
+  policy.write_error_prob = 1.0;
+  env.SetPolicy(policy);
+  Status s;
+  for (uint64_t i = 0; i < 1000 && s.ok(); i++) {
+    s = builder.Add(Ikey(PaddedKey(i), i + 1), std::string(100, 'v'));
+  }
+  if (s.ok()) s = builder.Finish();
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_GT(env.faults_injected(), 0u);
+  builder.Abandon();
+  env.Heal();
+  std::string data;
+  ASSERT_TRUE(ReadFileToString(&mem_env_, "fail.tree", &data).ok());
+  EXPECT_EQ(data.size(), 0u);
 }
 
 }  // namespace

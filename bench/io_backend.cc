@@ -1,21 +1,22 @@
 // IO-backend micro-benchmark: measures what the batched/async Env layer buys
-// on the two hot paths that exploit it.
+// on the one hot path that exploits it, cold-read MultiGet. One bLSM tree is
+// built once, then reopened read-only (small block cache) under each Env
+// stack:
+//     unbatched     every block read is a lone pread
+//                   (UnbatchedEnv — the synchronous baseline)
+//     posix         MultiRead coalesces contiguous runs into preadv
+//     uring         MultiRead = one batched io_uring submission
+//     uring-direct  the same under O_DIRECT
+//                   (uring rows are skipped when the kernel lacks io_uring)
 //
-//   Phase 1 — cold-read MultiGet: one bLSM tree built once, then reopened
-//   read-only (no block cache) under three Env stacks:
-//     unbatched   every block read is a lone pread, hints dropped
-//                 (UnbatchedEnv — the synchronous baseline)
-//     posix       MultiRead coalesces contiguous runs into preadv,
-//                 ReadAheadHint = fadvise(WILLNEED)
-//     uring       MultiRead = one batched io_uring submission
-//                 (skipped when the kernel lacks io_uring)
+// Merges and compactions issue no MultiRead and no readahead hints, so every
+// stack runs identical code there; this bench does not time them.
 //
-//   Phase 2 — compaction wall-clock: identical random loads into a
-//   multilevel tree, varying the Env stack and the parallel-output-build
-//   knob; the measured interval covers the load plus CompactAll(), i.e. the
-//   full merge cascade with its readahead-hinted inputs.
+// Every returned value is checked against the value the build wrote, so the
+// stacks are also a parity check: the bench exits 1 if any batched read
+// returns a wrong value.
 //
-// Writes BENCH_io_backend.json with one row per (phase, mode).
+// Writes BENCH_io_backend.json with one row per mode.
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -66,6 +67,7 @@ struct MultiGetPass {
   double elapsed = 1e30;            // min over repetitions
   EnvIoCounters::Snapshot per_rep;  // counter deltas of the first rep
   bool have_counters = false;
+  uint64_t value_mismatches = 0;    // over all repetitions
 };
 
 void OpenMultiGetPass(MultiGetPass* pass, const std::string& dir) {
@@ -80,13 +82,16 @@ void OpenMultiGetPass(MultiGetPass* pass, const std::string& dir) {
 }
 
 // One repetition: evict the page cache, replay the identical batch
-// schedule, keep the minimum elapsed time.
+// schedule, keep the minimum elapsed time. `expected[id]` is the value the
+// build wrote for record `id`.
 void RunMultiGetRep(MultiGetPass* pass, const std::string& dir,
-                    uint64_t records, int batches, size_t batch_size) {
+                    const std::vector<std::string>& expected, int batches,
+                    size_t batch_size) {
   DropPageCache(dir);
   const EnvIoCounters* io = pass->env->io_counters();
   EnvIoCounters::Snapshot before = io->snapshot();
   Random rnd(0xb10c);
+  std::vector<uint64_t> ids(batch_size);
   std::vector<std::string> key_storage(batch_size);
   std::vector<Slice> keys(batch_size);
   std::vector<std::string> values;
@@ -97,11 +102,15 @@ void RunMultiGetRep(MultiGetPass* pass, const std::string& dir,
     // at a time; a batched one hands the whole set to the kernel in a
     // single submission and lets the device's queue depth absorb them.
     for (size_t i = 0; i < batch_size; i++) {
-      key_storage[i] = ycsb::FormatKey(rnd.Uniform(records), false);
+      ids[i] = rnd.Uniform(expected.size());
+      key_storage[i] = ycsb::FormatKey(ids[i], false);
       keys[i] = key_storage[i];
     }
     std::vector<Status> statuses = pass->tree->MultiGet(keys, &values);
-    for (const Status& s : statuses) CheckOk(s, "multiget");
+    for (size_t i = 0; i < batch_size; i++) {
+      CheckOk(statuses[i], "multiget");
+      if (values[i] != expected[ids[i]]) pass->value_mismatches++;
+    }
   }
   pass->elapsed = std::min(pass->elapsed, Now() - t0);
   if (!pass->have_counters) {
@@ -130,69 +139,6 @@ void ReportMultiGetPass(const MultiGetPass& pass, int batches,
            static_cast<double>(pass.per_rep.multiread_requests));
 }
 
-multilevel::MultilevelOptions CompactionBenchOptions(Env* env) {
-  multilevel::MultilevelOptions o;
-  o.env = env;
-  o.memtable_bytes = 1 << 20;
-  o.file_bytes = 1 << 20;
-  o.base_level_bytes = 2 << 20;
-  o.block_cache_bytes = 4 << 20;
-  o.durability = DurabilityMode::kAsync;
-  // No write stalls: the bench measures the merge cascade, not pacing.
-  o.l0_slowdown_trigger = 10000;
-  o.l0_stop_trigger = 10000;
-  return o;
-}
-
-// Phase 2 staging: load the dataset with compaction disabled (trigger set
-// unreachably high), leaving a deterministic stack of whole-memtable L0
-// runs. Every mode starts its measured cascade from this identical state.
-void StageL0Runs(const std::string& dir, uint64_t records) {
-  multilevel::MultilevelOptions o = CompactionBenchOptions(Env::Default());
-  o.l0_compaction_trigger = 10000;
-  std::unique_ptr<multilevel::MultilevelTree> tree;
-  CheckOk(multilevel::MultilevelTree::Open(o, dir, &tree), "stage open");
-  ycsb::ValueGenerator values(17);
-  Random rnd(7);
-  for (uint64_t i = 0; i < records; i++) {
-    uint64_t id = rnd.Uniform(records);
-    CheckOk(tree->Put(ycsb::FormatKey(id, false), values.Next(id, 500)),
-            "stage put");
-  }
-  tree->WaitForIdle();  // drain pending flushes; compactions never trigger
-}
-
-// Phase 2, one repetition: stage a fresh deterministic L0 stack, drop the
-// page cache, then measure reopen (WAL replay of the unflushed tail —
-// identical per mode) plus the full CompactAll cascade. The caller
-// interleaves repetitions across modes and keeps the per-mode minimum.
-struct CompactionResult {
-  double elapsed = 1e30;
-  uint64_t parallel_builds = 0;
-  uint64_t compaction_bytes = 0;
-};
-
-void RunCompactionRep(Env* env, const std::string& dir, uint64_t records,
-                      int builder_threads, CompactionResult* out) {
-  StageL0Runs(dir, records);
-  // No page-cache eviction here, deliberately: L0 runs enter a real cascade
-  // moments after the flush that wrote them, i.e. page-cache warm. That
-  // also makes the measurement honest about where the backend helps — the
-  // merge is CPU + write/fsync bound, which is exactly what parallel
-  // output builds overlap.
-  multilevel::MultilevelOptions o = CompactionBenchOptions(env);
-  o.compaction_builder_threads = builder_threads;
-  double t0 = Now();
-  std::unique_ptr<multilevel::MultilevelTree> tree;
-  CheckOk(multilevel::MultilevelTree::Open(o, dir, &tree), "open multilevel");
-  CheckOk(tree->CompactAll(), "compact all");
-  out->elapsed = std::min(out->elapsed, Now() - t0);
-  out->parallel_builds = tree->stats().parallel_output_builds.load();
-  out->compaction_bytes = tree->stats().compaction_bytes.load();
-  tree.reset();
-  Env::Default()->RemoveDirRecursive(dir).IgnoreError("scratch scrub");
-}
-
 }  // namespace
 
 int main() {
@@ -212,16 +158,19 @@ int main() {
     printf("io_uring unavailable on this kernel; uring rows skipped\n");
   }
 
-  // --- Phase 1: build once, probe under each stack -------------------------
+  // Build once, probe under each stack.
   printf("\ncold-read MultiGet (%d batches x %zu scattered keys):\n",
          kBatches, kBatchSize);
+  std::vector<std::string> expected;
+  expected.reserve(kRecords);
   {
     BlsmOptions o = DefaultBlsmOptions(posix);
     std::unique_ptr<BlsmTree> tree;
     CheckOk(BlsmTree::Open(o, ws.Path("blsm"), &tree), "build tree");
     ycsb::ValueGenerator values(13);
     for (uint64_t i = 0; i < kRecords; i++) {
-      CheckOk(tree->Put(ycsb::FormatKey(i, false), values.Next(i, 500)),
+      expected.push_back(values.Next(i, 500));
+      CheckOk(tree->Put(ycsb::FormatKey(i, false), expected.back()),
               "build put");
     }
     CheckOk(tree->CompactToBottom(), "compact to bottom");
@@ -254,12 +203,18 @@ int main() {
   constexpr int kMultiGetReps = 4;
   for (int rep = 0; rep < kMultiGetReps; rep++) {
     for (MultiGetPass& pass : mg_passes) {
-      RunMultiGetRep(&pass, ws.Path("blsm"), kRecords, kBatches, kBatchSize);
+      RunMultiGetRep(&pass, ws.Path("blsm"), expected, kBatches, kBatchSize);
     }
   }
   double base_mg = 0, best_mg = 1e30;
+  uint64_t mismatches = 0;
   for (const MultiGetPass& pass : mg_passes) {
     ReportMultiGetPass(pass, kBatches, kBatchSize, report);
+    if (pass.value_mismatches != 0) {
+      fprintf(stderr, "io_backend: %s returned %" PRIu64 " wrong values\n",
+              pass.mode, pass.value_mismatches);
+      mismatches += pass.value_mismatches;
+    }
     if (std::string(pass.mode) == "unbatched") {
       base_mg = pass.elapsed;
     } else if (std::string(pass.mode) != "uring-direct") {
@@ -267,58 +222,7 @@ int main() {
     }
   }
 
-  // --- Phase 2: identical staged L0 stacks, measured cascade per stack -----
-  printf(
-      "\nCompactAll cascade wall-clock (freshly staged L0 runs, cache-warm "
-      "as after real flushes):\n");
-  struct CompactionMode {
-    const char* name;
-    Env* env;
-    int threads;
-  };
-  std::vector<CompactionMode> modes = {
-      {"unbatched-serial", &unbatched, 1},
-      {"posix-serial", posix, 1},
-      {"posix-parallel", posix, 2},
-  };
-  if (have_uring) modes.push_back({"uring-parallel", &uring, 2});
-  std::vector<CompactionResult> results(modes.size());
-  // A deeper stack than phase 1's dataset: more output files per cascade
-  // averages out per-fsync latency variance on shared hosts, which would
-  // otherwise dwarf the effect being measured.
-  const uint64_t kCompactionRecords = 2 * kRecords;
-  constexpr int kCompactionReps = 5;
-  for (int rep = 0; rep < kCompactionReps; rep++) {
-    for (size_t i = 0; i < modes.size(); i++) {
-      std::string dir = ws.Path(std::string("ml_") + modes[i].name);
-      RunCompactionRep(modes[i].env, dir, kCompactionRecords,
-                       modes[i].threads, &results[i]);
-    }
-  }
-  double base_cp = 0, best_cp = 1e30;
-  for (size_t i = 0; i < modes.size(); i++) {
-    const CompactionResult& r = results[i];
-    printf("  %-22s %8.3f s  %6.1f MB compacted  parallel_builds=%" PRIu64
-           "\n",
-           modes[i].name, r.elapsed,
-           static_cast<double>(r.compaction_bytes) / 1e6, r.parallel_builds);
-    report.AddRow()
-        .Str("phase", "compaction")
-        .Str("mode", modes[i].name)
-        .Num("elapsed_seconds", r.elapsed)
-        .Num("compaction_bytes", static_cast<double>(r.compaction_bytes))
-        .Num("parallel_output_builds",
-             static_cast<double>(r.parallel_builds));
-    if (std::string(modes[i].name) == "unbatched-serial") {
-      base_cp = r.elapsed;
-    } else {
-      best_cp = std::min(best_cp, r.elapsed);
-    }
-  }
-
-  printf("\nbest-batched speedup vs unbatched baseline: multiget %.2fx, "
-         "compaction %.2fx\n",
-         base_mg / std::max(best_mg, 1e-9),
-         base_cp / std::max(best_cp, 1e-9));
-  return 0;
+  printf("\nbest-batched speedup vs unbatched baseline: multiget %.2fx\n",
+         base_mg / std::max(best_mg, 1e-9));
+  return mismatches == 0 ? 0 : 1;
 }

@@ -180,68 +180,4 @@ void BackgroundRunner::BackoffWait(int attempt) {
   }
 }
 
-// --- task pipeline -----------------------------------------------------------
-
-TaskPipeline::TaskPipeline(int max_concurrency)
-    : limit_(std::max(1, max_concurrency)) {
-  workers_.reserve(static_cast<size_t>(limit_));
-  for (int i = 0; i < limit_; i++) {
-    workers_.emplace_back(&TaskPipeline::WorkerLoop, this);
-  }
-}
-
-TaskPipeline::~TaskPipeline() {
-  Drain().IgnoreError("teardown; callers that care already Drain()ed");
-  {
-    util::MutexLock l(&mu_);
-    shutdown_ = true;
-    cv_.NotifyAll();
-  }
-  for (auto& w : workers_) w.join();
-}
-
-Status TaskPipeline::Submit(std::function<Status()> task) {
-  util::MutexLock l(&mu_);
-  while (error_.ok() &&
-         queue_.size() + static_cast<size_t>(active_) >=
-             static_cast<size_t>(limit_)) {
-    cv_.WaitFor(&mu_, kPollInterval);
-  }
-  if (!error_.ok()) return error_;  // fail fast; the task is dropped
-  queue_.push_back(std::move(task));
-  cv_.NotifyAll();
-  return Status::OK();
-}
-
-Status TaskPipeline::Drain() {
-  util::MutexLock l(&mu_);
-  while (!queue_.empty() || active_ > 0) {
-    cv_.WaitFor(&mu_, kPollInterval);
-  }
-  return error_;
-}
-
-void TaskPipeline::WorkerLoop() {
-  for (;;) {
-    std::function<Status()> task;
-    {
-      util::MutexLock l(&mu_);
-      while (queue_.empty() && !shutdown_) {
-        cv_.WaitFor(&mu_, kPollInterval);
-      }
-      if (queue_.empty()) return;  // shutdown with nothing left
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      active_++;
-    }
-    Status s = task();
-    {
-      util::MutexLock l(&mu_);
-      active_--;
-      if (!s.ok() && error_.ok()) error_ = s;
-      cv_.NotifyAll();
-    }
-  }
-}
-
 }  // namespace blsm::engine

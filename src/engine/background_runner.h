@@ -2,7 +2,6 @@
 #define BLSM_ENGINE_BACKGROUND_RUNNER_H_
 
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -15,36 +14,6 @@
 #include "util/thread_annotations.h"
 
 namespace blsm::engine {
-
-// Bounded fan-out for the parallel stretches inside one background pass:
-// compaction output-file builds, one whole file per task. A fixed crew of
-// worker threads consumes a FIFO queue; Submit blocks once
-// queued + running == max_concurrency (backpressure). After any task fails,
-// Submit fails fast with the first error and drops the new task; Drain
-// waits everything out and returns that first error.
-class TaskPipeline {
- public:
-  explicit TaskPipeline(int max_concurrency);
-  ~TaskPipeline();  // drains, then joins the workers
-  TaskPipeline(const TaskPipeline&) = delete;
-  TaskPipeline& operator=(const TaskPipeline&) = delete;
-
-  Status Submit(std::function<Status()> task) EXCLUDES(mu_);
-  Status Drain() EXCLUDES(mu_);
-
- private:
-  void WorkerLoop() EXCLUDES(mu_);
-
-  const int limit_;
-
-  util::Mutex mu_{util::lock_rank::kTaskPipelineMu};
-  util::CondVar cv_;
-  std::deque<std::function<Status()>> queue_ GUARDED_BY(mu_);
-  int active_ GUARDED_BY(mu_) = 0;
-  Status error_ GUARDED_BY(mu_);
-  bool shutdown_ GUARDED_BY(mu_) = false;
-  std::vector<std::thread> workers_;
-};
 
 // Background fault-handling knobs shared by every engine that runs merge or
 // compaction work. A pass that fails with a *transient* error

@@ -38,8 +38,6 @@ void AddIoStats(const EnvIoCounters* io,
   (*stats)["io.syncs"] = c.syncs;
   (*stats)["io.multiread_batches"] = c.multiread_batches;
   (*stats)["io.multiread_requests"] = c.multiread_requests;
-  (*stats)["io.readahead_hints"] = c.readahead_hints;
-  (*stats)["io.readahead_hits"] = c.readahead_hits;
   (*stats)["io.ring_writes"] = c.ring_writes;
   (*stats)["io.direct_write_fallbacks"] = c.direct_write_fallbacks;
 }
@@ -188,8 +186,6 @@ class MultilevelEngine : public Engine {
         // tree->CompactionPolicyName()).
         {"compaction.policy",
          static_cast<uint64_t>(tree_->CompactionPolicyLayout())},
-        {"compaction.parallel_output_builds",
-         s.parallel_output_builds.load()},
         {"orphans_scavenged", s.orphans_scavenged.load()},
         {"on_disk_bytes", tree_->OnDiskBytes()},
         {"wal.records", wal.records},

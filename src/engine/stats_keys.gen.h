@@ -15,7 +15,6 @@ inline constexpr const char* kKeys[] = {
     "block_cache.misses",
     "bloom_skips",
     "c0_live_bytes",
-    "compaction.parallel_output_builds",
     "compaction.policy",
     "compaction_bytes",
     "compaction_retries",
@@ -29,8 +28,6 @@ inline constexpr const char* kKeys[] = {
     "io.multiread_batches",
     "io.multiread_requests",
     "io.read_bytes",
-    "io.readahead_hints",
-    "io.readahead_hits",
     "io.ring_writes",
     "io.syncs",
     "io.write_bytes",

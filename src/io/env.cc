@@ -14,8 +14,6 @@ EnvIoCounters::Snapshot EnvIoCounters::Snapshot::operator-(
   d.syncs = syncs - b.syncs;
   d.multiread_batches = multiread_batches - b.multiread_batches;
   d.multiread_requests = multiread_requests - b.multiread_requests;
-  d.readahead_hits = readahead_hits - b.readahead_hits;
-  d.readahead_hints = readahead_hints - b.readahead_hints;
   d.ring_writes = ring_writes - b.ring_writes;
   d.direct_write_fallbacks = direct_write_fallbacks - b.direct_write_fallbacks;
   return d;
@@ -32,8 +30,6 @@ EnvIoCounters::Snapshot EnvIoCounters::snapshot() const {
   s.syncs = syncs.load();
   s.multiread_batches = multiread_batches.load();
   s.multiread_requests = multiread_requests.load();
-  s.readahead_hits = readahead_hits.load();
-  s.readahead_hints = readahead_hints.load();
   s.ring_writes = ring_writes.load();
   s.direct_write_fallbacks = direct_write_fallbacks.load();
   return s;

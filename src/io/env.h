@@ -57,9 +57,7 @@ class RandomAccessFile {
   // batch (io_uring, preadv coalescing) override it.
   virtual Status MultiRead(ReadRequest* reqs, size_t n) const;
 
-  // Advisory prefetch: the caller expects to Read [offset, offset+len)
-  // soon. Never fails and may do nothing (the default). Implementations
-  // typically hand the range to the kernel readahead machinery.
+  // No engine calls this; delete it together with perfbench's override.
   virtual void ReadAheadHint(uint64_t offset, uint64_t len) const {
     (void)offset;
     (void)len;
@@ -133,10 +131,6 @@ struct EnvIoCounters {
   // MultiRead calls that reached this Env (each covering >= 1 requests).
   std::atomic<uint64_t> multiread_batches{0};
   std::atomic<uint64_t> multiread_requests{0};
-  // Reads that landed inside a previously hinted range — how often
-  // ReadAheadHint actually fronted a later access.
-  std::atomic<uint64_t> readahead_hits{0};
-  std::atomic<uint64_t> readahead_hints{0};
   // Writes submitted as ring SQEs (vs synchronous pwrite), and direct-IO
   // writers that hit a mid-stream EINVAL and re-opened buffered.
   std::atomic<uint64_t> ring_writes{0};
@@ -148,7 +142,6 @@ struct EnvIoCounters {
     uint64_t write_ops = 0, write_seeks = 0, write_bytes = 0;
     uint64_t syncs = 0;
     uint64_t multiread_batches = 0, multiread_requests = 0;
-    uint64_t readahead_hits = 0, readahead_hints = 0;
     uint64_t ring_writes = 0, direct_write_fallbacks = 0;
 
     Snapshot operator-(const Snapshot& b) const;
@@ -167,11 +160,9 @@ struct EnvIoCounters {
 };
 
 // Per-file-handle accounting for positional access: remembers where the
-// previous read and write ended (seek classification) and the most recent
-// hinted range (hints from sequential scans advance monotonically, so one
-// range is enough). Each terminal read site makes one OnRead call per
-// completed read, which counts the op, its bytes, its seek and its
-// readahead hit. Terminal files hold it `mutable`: Read is const.
+// previous read and write ended (seek classification). Each terminal read
+// site makes one OnRead call per completed read, which counts the op, its
+// bytes and its seek. Terminal files hold it `mutable`: Read is const.
 class FileIoTracker {
  public:
   void OnRead(uint64_t offset, uint64_t bytes, EnvIoCounters* c) {
@@ -180,10 +171,6 @@ class FileIoTracker {
     if (IsSeek(&read_end_, offset, bytes)) {
       c->read_seeks.fetch_add(1, std::memory_order_relaxed);
     }
-    if (offset >= hint_start_.load(std::memory_order_relaxed) &&
-        offset < hint_end_.load(std::memory_order_relaxed)) {
-      c->readahead_hits.fetch_add(1, std::memory_order_relaxed);
-    }
   }
   void OnWrite(uint64_t offset, uint64_t bytes, EnvIoCounters* c) {
     c->write_ops.fetch_add(1, std::memory_order_relaxed);
@@ -191,11 +178,6 @@ class FileIoTracker {
     if (IsSeek(&write_end_, offset, bytes)) {
       c->write_seeks.fetch_add(1, std::memory_order_relaxed);
     }
-  }
-  void Hint(uint64_t offset, uint64_t len, EnvIoCounters* c) {
-    c->readahead_hints.fetch_add(1, std::memory_order_relaxed);
-    hint_start_.store(offset, std::memory_order_relaxed);
-    hint_end_.store(offset + len, std::memory_order_relaxed);
   }
 
  private:
@@ -213,8 +195,6 @@ class FileIoTracker {
 
   std::atomic<uint64_t> read_end_{kNoAccess};
   std::atomic<uint64_t> write_end_{kNoAccess};
-  std::atomic<uint64_t> hint_start_{1};
-  std::atomic<uint64_t> hint_end_{0};  // empty range until the first hint
 };
 
 class Env {
@@ -263,10 +243,10 @@ class Env {
 // it changes and can never drift out of step with the interface.
 //
 // There is deliberately no file-level counterpart. The file interfaces'
-// defaults (AppendV as an Append loop, MultiRead as a Read loop,
-// ReadAheadHint as a no-op) route through a file decorator's own
-// overrides; forwarding them to the wrapped file instead would silently
-// bypass per-fragment fault rolls or a forced-serial MultiRead.
+// defaults (AppendV as an Append loop, MultiRead as a Read loop) route
+// through a file decorator's own overrides; forwarding them to the wrapped
+// file instead would silently bypass per-fragment fault rolls or a
+// forced-serial MultiRead.
 class EnvWrapper : public Env {
  public:
   explicit EnvWrapper(Env* base) : base_(base) {}

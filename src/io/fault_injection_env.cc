@@ -68,11 +68,6 @@ class FaultRandomAccessFile final : public RandomAccessFile {
     return Status::OK();
   }
 
-  void ReadAheadHint(uint64_t offset, uint64_t len) const override {
-    // Advisory and infallible by contract: nothing to inject.
-    base_->ReadAheadHint(offset, len);
-  }
-
  private:
   std::unique_ptr<RandomAccessFile> base_;
   FaultInjectionEnv* env_;

@@ -77,10 +77,6 @@ class MemRandomAccessFile final : public RandomAccessFile {
     return RandomAccessFile::MultiRead(reqs, n);
   }
 
-  void ReadAheadHint(uint64_t offset, uint64_t len) const override {
-    tracker_.Hint(offset, len, counters_);
-  }
-
  private:
   FileStatePtr fs_;
   EnvIoCounters* counters_;

@@ -99,14 +99,6 @@ class PosixRandomAccessFile final : public RandomAccessFile {
     return Status::OK();
   }
 
-  void ReadAheadHint(uint64_t offset, uint64_t len) const override {
-#if defined(POSIX_FADV_WILLNEED)
-    posix_fadvise(fd_, static_cast<off_t>(offset), static_cast<off_t>(len),
-                  POSIX_FADV_WILLNEED);
-#endif
-    tracker_.Hint(offset, len, counters_);
-  }
-
  private:
   // One preadv over a contiguous run. A short count (EOF or a signal) falls
   // back to per-request reads for the unfinished tail, so the results (and

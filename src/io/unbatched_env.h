@@ -9,9 +9,9 @@
 namespace blsm {
 
 // Decorator that strips the batched-IO surface from an Env: MultiRead is
-// forced back to the one-synchronous-Read-per-request default and readahead
-// hints are dropped. Benchmarks and parity tests wrap an env in this to get
-// the "synchronous baseline" lane with everything else held identical.
+// forced back to the one-synchronous-Read-per-request default. Benchmarks
+// and parity tests wrap an env in this to get the "synchronous baseline"
+// lane with everything else held identical.
 
 namespace unbatched_internal {
 
@@ -27,10 +27,6 @@ class UnbatchedRandomAccessFile final : public RandomAccessFile {
   Status MultiRead(ReadRequest* reqs, size_t n) const override {
     // The serial default loop, deliberately not forwarded to the base.
     return RandomAccessFile::MultiRead(reqs, n);
-  }
-  void ReadAheadHint(uint64_t offset, uint64_t len) const override {
-    (void)offset;
-    (void)len;
   }
 
  private:

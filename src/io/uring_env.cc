@@ -308,19 +308,6 @@ class UringRandomAccessFile final : public RandomAccessFile {
     return Status::OK();
   }
 
-  void ReadAheadHint(uint64_t offset, uint64_t len) const override {
-#if defined(POSIX_FADV_WILLNEED)
-    // Under O_DIRECT the page cache is bypassed, so a WILLNEED hint cannot
-    // front anything; the tracker still records the range so readahead_hits
-    // reflects access-pattern locality either way.
-    if (!direct_) {
-      posix_fadvise(fd_, static_cast<off_t>(offset), static_cast<off_t>(len),
-                    POSIX_FADV_WILLNEED);
-    }
-#endif
-    tracker_.Hint(offset, len, counters_);
-  }
-
  private:
   struct DirectWindow {
     char* buf = nullptr;   // aligned buffer the kernel reads into

@@ -123,17 +123,6 @@ Status MultilevelTree::WriteOutputFiles(InternalIterator* input,
                                         size_t file_bytes_cap,
                                         std::vector<FileMetaPtr>* outputs) {
   outputs->clear();
-  // Partitioned merges cut many independent output files — those builds can
-  // proceed concurrently. Single-run outputs (flushes, tiered and
-  // whole-level movement under kSingleRunCap) have exactly one file and
-  // stay on the serial streaming path below.
-  if (options_.compaction_builder_threads > 1 &&
-      file_bytes_cap < kSingleRunCap) {
-    return WriteOutputFilesParallel(input, output_level, bottom,
-                                    file_bytes_cap,
-                                    options_.compaction_builder_threads,
-                                    outputs);
-  }
   std::unique_ptr<sstree::TreeBuilder> builder;
   uint64_t current_number = 0;
   std::string first_key, last_key;
@@ -207,120 +196,6 @@ Status MultilevelTree::WriteOutputFiles(InternalIterator* input,
   }
   stats_.compaction_bytes.fetch_add(consumed, std::memory_order_relaxed);
   // Per-level write amplification: charge the bytes that actually landed.
-  uint64_t written = 0;
-  for (const auto& meta : *outputs) written += meta->data_bytes;
-  stats_.level_write_bytes[output_level].fetch_add(written,
-                                                   std::memory_order_relaxed);
-  return s;
-}
-
-Status MultilevelTree::WriteOutputFilesParallel(
-    InternalIterator* input, int output_level, bool bottom,
-    size_t file_bytes_cap, int threads, std::vector<FileMetaPtr>* outputs) {
-  // The merge loop only collapses records and partitions them into per-file
-  // batches; each completed batch is handed to the pipeline, which builds
-  // the file (open/add/Finish/NewFileMeta) on a worker while the loop fills
-  // the next batch. Submit's backpressure bounds memory at roughly
-  // (threads + 1) batches.
-  struct Batch {
-    uint64_t number = 0;
-    size_t index = 0;
-    std::vector<std::pair<std::string, std::string>> records;  // ikey, value
-    std::string first_key, last_key;  // user keys
-    size_t bytes = 0;
-  };
-
-  engine::TaskPipeline pipeline(threads);
-  util::Mutex slots_mu;
-  std::vector<std::pair<size_t, FileMetaPtr>> slots;
-
-  auto build_file = [this, output_level, &slots_mu,
-                     &slots](const std::shared_ptr<Batch>& b) -> Status {
-    (void)output_level;
-    sstree::TreeBuilderOptions bopts;
-    bopts.block_size = options_.block_size;
-    bopts.build_bloom = options_.use_bloom;
-    sstree::TreeBuilder builder(env_, TreeFileName(dir_, b->number), bopts);
-    Status s = builder.Open();
-    for (size_t i = 0; s.ok() && i < b->records.size(); i++) {
-      s = builder.Add(b->records[i].first, b->records[i].second);
-    }
-    if (s.ok()) s = builder.Finish();
-    if (!s.ok()) {
-      builder.Abandon();
-      env_->RemoveFile(TreeFileName(dir_, b->number))
-          .IgnoreError("partial output; orphan scavenge reclaims it");
-      return s;
-    }
-    FileMetaPtr meta;
-    s = NewFileMeta(b->number, &meta);
-    if (!s.ok()) return s;
-    meta->smallest = b->first_key;
-    meta->largest = b->last_key;
-    stats_.parallel_output_builds.fetch_add(1, std::memory_order_relaxed);
-    util::MutexLock l(&slots_mu);
-    slots.emplace_back(b->index, std::move(meta));
-    return Status::OK();
-  };
-
-  auto batch = std::make_shared<Batch>();
-  size_t next_index = 0;
-  uint64_t consumed = 0;
-  std::string out_ikey;
-  Status s;
-
-  auto submit_batch = [&]() -> Status {
-    auto full = std::move(batch);
-    batch = std::make_shared<Batch>();
-    {
-      // Numbers are claimed here, in stream order, so file numbering is
-      // identical to the serial path no matter how builds interleave.
-      util::MutexLock l(&mu_);
-      full->number = next_file_number_++;
-    }
-    full->index = next_index++;
-    return pipeline.Submit([build_file, full] { return build_file(full); });
-  };
-
-  while (input->Valid()) {
-    GroupResult group;
-    s = CollapseGroup(input, merge_op_.get(), bottom, &consumed, &group);
-    if (!s.ok()) break;
-    if (!group.emit) continue;
-    out_ikey.clear();
-    AppendInternalKey(&out_ikey, group.user_key, group.seq, group.type);
-    if (batch->records.empty()) batch->first_key = group.user_key;
-    batch->last_key = group.user_key;
-    batch->bytes += out_ikey.size() + group.value.size();
-    batch->records.emplace_back(out_ikey, std::move(group.value));
-    if (batch->bytes >= file_bytes_cap) {
-      s = submit_batch();
-      if (!s.ok()) break;
-    }
-    if (runner_->shutting_down()) {
-      s = Status::Busy("shutdown during compaction");
-      break;
-    }
-  }
-  if (s.ok()) s = input->status();
-  if (s.ok() && !batch->records.empty()) s = submit_batch();
-  Status drain = pipeline.Drain();
-  if (s.ok()) s = drain;
-
-  {
-    util::MutexLock l(&slots_mu);
-    std::sort(slots.begin(), slots.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto& [index, meta] : slots) {
-      (void)index;
-      outputs->push_back(std::move(meta));
-    }
-  }
-  if (!s.ok()) {
-    for (auto& meta : *outputs) meta->obsolete.store(true);
-    outputs->clear();
-  }
-  stats_.compaction_bytes.fetch_add(consumed, std::memory_order_relaxed);
   uint64_t written = 0;
   for (const auto& meta : *outputs) written += meta->data_bytes;
   stats_.level_write_bytes[output_level].fetch_add(written,

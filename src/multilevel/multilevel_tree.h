@@ -41,13 +41,6 @@ struct MultilevelOptions {
   uint64_t base_level_bytes = 10 << 20;  // L1 target; Li = base * ratio^(i-1)
   int level_ratio = 10;
 
-  // Independent output files of one partitioned compaction are built by
-  // this many concurrent builders (engine::TaskPipeline); the merge loop
-  // only partitions the record stream. 1 = the classic serial builder.
-  // Applies only where a compaction cuts multiple output files (leveled
-  // partitioned merges); flushes and tiered single-run outputs stay serial.
-  int compaction_builder_threads = 2;
-
   // L0 file-count triggers (LevelDB defaults scaled): at `slowdown` each
   // write waits one bounded interval on the engine::StallTracker CondVar
   // (signaled early if compaction publishes progress); at `stop` writes
@@ -108,9 +101,6 @@ struct MultilevelStats {
   // amplification — the quantity the compaction-policy ablation measures.
   std::atomic<uint64_t> level_write_bytes[kNumLevels] = {};
   std::atomic<uint64_t> compaction_retries{0};
-  // Output files built by the parallel-builder path (a subset of the files
-  // counted into level_write_bytes).
-  std::atomic<uint64_t> parallel_output_builds{0};
   std::atomic<uint64_t> orphans_scavenged{0};
   // Read-path counters: view pins (one per Get/MultiGet/scan) and MultiGet
   // batches. (No block coalescing here — the multilevel read path probes
@@ -249,13 +239,6 @@ class MultilevelTree {
   // Writes the sorted stream from `input` into output files of at most
   // `file_bytes_cap` bytes at `output_level`; `bottom` enables tombstone
   // dropping.
-  // The multi-builder variant of WriteOutputFiles: partitions the record
-  // stream into per-file batches and builds the files on a TaskPipeline.
-  Status WriteOutputFilesParallel(InternalIterator* input, int output_level,
-                                  bool bottom, size_t file_bytes_cap,
-                                  int threads,
-                                  std::vector<FileMetaPtr>* outputs)
-      EXCLUDES(mu_);
   Status WriteOutputFiles(InternalIterator* input, int output_level,
                           bool bottom, size_t file_bytes_cap,
                           std::vector<FileMetaPtr>* outputs) EXCLUDES(mu_);

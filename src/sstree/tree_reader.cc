@@ -398,11 +398,6 @@ Status TreeReader::VerifyAllBlocks(uint64_t* bad_offset) const {
 
 // --- TreeIterator -----------------------------------------------------------
 
-namespace {
-// The readahead window a merge input keeps hinted ahead of its traversal.
-constexpr uint64_t kMergeReadAheadCap = 256 << 10;
-}  // namespace
-
 TreeIterator::TreeIterator(const TreeReader* tree, bool sequential)
     : tree_(tree), sequential_(sequential) {}
 
@@ -420,15 +415,6 @@ bool TreeIterator::DescendFrom(size_t i, const Slice* seek_target) {
   if (!s.ok()) {
     status_ = s;
     return false;
-  }
-  if (sequential_ && i + 2 == levels_.size()) {
-    // Child is a data block of a merge input: keep the kernel readahead
-    // frontier ahead of the traversal.
-    uint64_t end = ptr.offset + ptr.size;
-    if (end >= readahead_until_ && end < tree_->data_bytes()) {
-      tree_->HintReadAhead(end, kMergeReadAheadCap);
-      readahead_until_ = end + kMergeReadAheadCap;
-    }
   }
   Level& child = levels_[i + 1];
   child.handle = std::move(handle);

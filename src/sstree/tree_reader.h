@@ -64,7 +64,6 @@ class TreeReader {
   // `sequential` iterators bypass the block cache and are intended for
   // merges and long scans: they read blocks in file order, which the I/O
   // accounting (correctly) treats as sequential bandwidth rather than seeks.
-  // Only sequential iterators issue readahead hints.
   std::unique_ptr<TreeIterator> NewIterator(bool sequential = false) const;
 
   uint64_t num_entries() const { return footer_.num_entries; }
@@ -79,12 +78,6 @@ class TreeReader {
   // and the block's offset, so the damage is actionable from any read path.
   Status ReadBlock(const BlockPointer& ptr, bool fill_cache,
                    BlockCache::BlockHandle* out) const;
-
-  // Advisory prefetch passthrough to the underlying file (iterator
-  // readahead). Never fails; a no-op on environments without it.
-  void HintReadAhead(uint64_t offset, uint64_t len) const {
-    file_->ReadAheadHint(offset, len);
-  }
 
   // Offline/paranoid verification: reads and checksums every reachable
   // block — the index levels, every data block, and the Bloom filter —
@@ -148,14 +141,6 @@ class TreeIterator {
   std::vector<Level> levels_;  // [0] = root ... back() = data block
   bool valid_ = false;
   Status status_;
-  // Merge inputs (sequential_) read to the end, and data blocks sit
-  // contiguously from offset 0 in build order, so "the next blocks in the
-  // file" are exactly the blocks this iterator will visit next. Each time
-  // the traversal catches up with the hinted frontier, the next fixed
-  // window is hinted. Scans never hint: their hinted-but-unread tail is
-  // wasted IO, and on buffered storage each hint measured a net loss
-  // (EXPERIMENTS.md, "IO backend").
-  uint64_t readahead_until_ = 0;
 };
 
 }  // namespace blsm::sstree

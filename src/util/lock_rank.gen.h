@@ -31,14 +31,13 @@ inline constexpr int kServerConnMu = 15;  // ServerConn::mu (layer 10)
 inline constexpr int kShardMu = 16;  // Shard::mu (layer 10)
 inline constexpr int kShardQueueMu = 17;  // ShardQueue::mu (layer 10)
 inline constexpr int kStallTrackerMu = 18;  // StallTracker::mu_ (layer 10)
-inline constexpr int kTaskPipelineMu = 19;  // TaskPipeline::mu_ (layer 10)
-inline constexpr int kTimeSeriesMu = 20;  // TimeSeries::mu_ (layer 10)
-inline constexpr int kUringRandomAccessFileMu = 21;  // UringRandomAccessFile::mu_ (layer 10)
-inline constexpr int kWriteFrontendSwapMu = 22;  // WriteFrontend::swap_mu_ (layer 10)
-inline constexpr int kLogicalLogMu = 23;  // LogicalLog::mu_ (layer 20)
-inline constexpr int kWriteFrontendMu = 24;  // WriteFrontend::mu_ (layer 20)
+inline constexpr int kTimeSeriesMu = 19;  // TimeSeries::mu_ (layer 10)
+inline constexpr int kUringRandomAccessFileMu = 20;  // UringRandomAccessFile::mu_ (layer 10)
+inline constexpr int kWriteFrontendSwapMu = 21;  // WriteFrontend::swap_mu_ (layer 10)
+inline constexpr int kLogicalLogMu = 22;  // LogicalLog::mu_ (layer 20)
+inline constexpr int kWriteFrontendMu = 23;  // WriteFrontend::mu_ (layer 20)
 
-inline constexpr int kNumLockIds = 25;
+inline constexpr int kNumLockIds = 24;
 
 inline constexpr unsigned long long kMustPrecede[kNumLockIds] = {
     0ull,  // kUnranked
@@ -51,7 +50,7 @@ inline constexpr unsigned long long kMustPrecede[kNumLockIds] = {
     0x0ull,  // kFanStateMu
     0x0ull,  // kFaultInjectionEnvPolicyMu
     0x0ull,  // kFileStateMu
-    0x800000ull,  // kLogicalLogIoMu
+    0x400000ull,  // kLogicalLogIoMu
     0x0ull,  // kMemEnvMu
     0x0ull,  // kMultilevelTreeManifestIoMu
     0x0ull,  // kMultilevelTreeMu
@@ -60,10 +59,9 @@ inline constexpr unsigned long long kMustPrecede[kNumLockIds] = {
     0x0ull,  // kShardMu
     0x0ull,  // kShardQueueMu
     0x0ull,  // kStallTrackerMu
-    0x0ull,  // kTaskPipelineMu
     0x0ull,  // kTimeSeriesMu
     0x0ull,  // kUringRandomAccessFileMu
-    0x1000000ull,  // kWriteFrontendSwapMu
+    0x800000ull,  // kWriteFrontendSwapMu
     0x0ull,  // kLogicalLogMu
     0x0ull,  // kWriteFrontendMu
 };

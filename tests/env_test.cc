@@ -399,7 +399,7 @@ INSTANTIATE_TEST_SUITE_P(Terminals, TerminalCountersTest,
                                            Terminal::kUring),
                          TerminalName);
 
-// --- MultiRead / ReadAheadHint conformance ----------------------------------
+// --- MultiRead conformance ---------------------------------------------------
 
 // Builds a 4-request batch over "0123456789" exercising in-bounds reads, an
 // EOF-straddling read, and a past-EOF read; asserts the Read()-equivalent
@@ -428,18 +428,7 @@ void CheckMultiReadContract(Env* env) {
 
 TEST_P(EnvTest, MultiReadContract) { CheckMultiReadContract(env_); }
 
-TEST_P(EnvTest, ReadAheadHintIsHarmless) {
-  ASSERT_TRUE(WriteStringToFile(env_, std::string(8192, 'x'), "ra", false).ok());
-  std::unique_ptr<RandomAccessFile> f;
-  ASSERT_TRUE(env_->NewRandomAccessFile("ra", &f).ok());
-  f->ReadAheadHint(0, 8192);
-  char scratch[4096];
-  Slice r;
-  ASSERT_TRUE(f->Read(4096, 4096, &r, scratch).ok());
-  EXPECT_EQ(r.size(), 4096u);
-}
-
-TEST(MemEnvIoCountersTest, TracksReadsWritesAndReadahead) {
+TEST(MemEnvIoCountersTest, TracksReadsWritesAndMultiReads) {
   MemEnv env;
   const EnvIoCounters* io = env.io_counters();
   ASSERT_NE(io, nullptr);
@@ -449,7 +438,6 @@ TEST(MemEnvIoCountersTest, TracksReadsWritesAndReadahead) {
 
   std::unique_ptr<RandomAccessFile> f;
   ASSERT_TRUE(env.NewRandomAccessFile("f", &f).ok());
-  f->ReadAheadHint(0, 512);
   char scratch[512];
   ReadRequest reqs[2];
   reqs[0] = {0, 100, scratch, Slice(), Status::OK()};
@@ -458,9 +446,6 @@ TEST(MemEnvIoCountersTest, TracksReadsWritesAndReadahead) {
   EXPECT_EQ(io->multiread_batches.load(), 1u);
   EXPECT_EQ(io->multiread_requests.load(), 2u);
   EXPECT_EQ(io->read_bytes.load(), 200u);
-  EXPECT_EQ(io->readahead_hints.load(), 1u);
-  // First read starts inside the hinted [0, 512) range; the second does not.
-  EXPECT_EQ(io->readahead_hits.load(), 1u);
 }
 
 TEST(UnbatchedEnvTest, SerializesMultiReadIntoSingleReads) {
@@ -471,16 +456,6 @@ TEST(UnbatchedEnvTest, SerializesMultiReadIntoSingleReads) {
   // plain Reads and zero MultiRead batches.
   EXPECT_EQ(base.io_counters()->multiread_batches.load(), 0u);
   EXPECT_EQ(base.io_counters()->read_bytes.load(), 4u + 3u + 2u + 0u);
-}
-
-TEST(UnbatchedEnvTest, DropsReadAheadHints) {
-  MemEnv base;
-  UnbatchedEnv env(&base);
-  ASSERT_TRUE(WriteStringToFile(&env, "0123456789", "f", false).ok());
-  std::unique_ptr<RandomAccessFile> f;
-  ASSERT_TRUE(env.NewRandomAccessFile("f", &f).ok());
-  f->ReadAheadHint(0, 10);
-  EXPECT_EQ(base.io_counters()->readahead_hints.load(), 0u);
 }
 
 TEST(FaultInjectionMultiReadTest, FaultedSubReadFailsOnlyThatRequest) {

@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "io/fault_injection_env.h"
 #include "io/mem_env.h"
@@ -127,6 +128,88 @@ TEST_P(FaultInjectionTest, MultilevelSurfacesErrorsAndRecovers) {
     ASSERT_TRUE(tree->Get(KeyFor(i), &value).ok()) << i;
   }
   ASSERT_TRUE(tree->Put("fresh", "ok").ok());
+}
+
+size_t CountRunFiles(Env* env, const std::string& dir) {
+  std::vector<std::string> children;
+  EXPECT_TRUE(env->GetChildren(dir, &children).ok());
+  size_t n = 0;
+  for (const std::string& name : children) {
+    if (name.size() > 4 && name.compare(name.size() - 4, 4, ".run") == 0) n++;
+  }
+  return n;
+}
+
+// A partitioned L0->L1 merge cuts many output files. When the device dies
+// partway through, the outputs already finished are dropped along with the
+// partial one: after Heal() and a reopen, every key is readable and the
+// directory holds exactly the runs the manifest references. The trip point
+// sweeps through the open and the whole merge, so some trips must land
+// after at least one output file was finished.
+TEST(FaultCleanupTest, FailedMultiFileCompactionLeavesNothingBehind) {
+  multilevel::MultilevelOptions options;
+  options.memtable_bytes = 16 << 10;
+  options.file_bytes = 8 << 10;
+  options.durability = DurabilityMode::kSync;
+  options.background.max_background_retries = 0;  // latch the first fault
+  // Loading piles every memtable flush up in L0, uncompacted.
+  constexpr int kLoadTrigger = 100;
+  options.l0_slowdown_trigger = kLoadTrigger;
+  options.l0_stop_trigger = kLoadTrigger;
+  constexpr uint64_t kKeys = 600;
+  auto value_for = [](uint64_t i) {
+    return std::string(100, 'v') + std::to_string(i);
+  };
+
+  int failed_after_finished_output = 0;
+  bool merge_completed = false;
+  for (uint64_t trip = 0; trip < 2000 && !merge_completed; trip++) {
+    SCOPED_TRACE("trip after " + std::to_string(trip));
+    MemEnv base;
+    FaultInjectionEnv env(&base);
+    options.env = &env;
+    options.l0_compaction_trigger = kLoadTrigger;
+    std::unique_ptr<multilevel::MultilevelTree> tree;
+    ASSERT_TRUE(multilevel::MultilevelTree::Open(options, "ml", &tree).ok());
+    for (uint64_t i = 0; i < kKeys; i++) {
+      ASSERT_TRUE(tree->Put(KeyFor(i), value_for(i)).ok());
+    }
+    ASSERT_TRUE(tree->CompactAll().ok());
+    ASSERT_GE(tree->NumFilesAtLevel(0), 4);
+    tree.reset();
+    const size_t runs_before = CountRunFiles(&base, "ml");
+
+    // At the default trigger the reopened tree merges the whole L0 pile
+    // into L1 on its background thread, the only IO after the open, so the
+    // trip point is deterministic.
+    options.l0_compaction_trigger = 4;
+    env.TripAfter(trip);
+    Status s = multilevel::MultilevelTree::Open(options, "ml", &tree);
+    if (s.ok()) s = tree->CompactAll();
+    if (s.ok()) {
+      merge_completed = true;
+    } else if (CountRunFiles(&base, "ml") >= runs_before + 2) {
+      // A finished output plus the partial one were on disk at the fault.
+      failed_after_finished_output++;
+    }
+    tree.reset();
+    env.Heal();
+
+    options.l0_compaction_trigger = kLoadTrigger;
+    ASSERT_TRUE(multilevel::MultilevelTree::Open(options, "ml", &tree).ok());
+    size_t live = 0;
+    for (int l = 0; l < multilevel::kNumLevels; l++) {
+      live += static_cast<size_t>(tree->NumFilesAtLevel(l));
+    }
+    EXPECT_EQ(CountRunFiles(&base, "ml"), live);
+    for (uint64_t i = 0; i < kKeys; i++) {
+      std::string value;
+      ASSERT_TRUE(tree->Get(KeyFor(i), &value).ok()) << i;
+      ASSERT_EQ(value, value_for(i));
+    }
+  }
+  EXPECT_TRUE(merge_completed);
+  EXPECT_GT(failed_after_finished_output, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(TripPoints, FaultInjectionTest,

@@ -196,33 +196,6 @@ TEST_F(TreeTest, IteratorSeek) {
   EXPECT_FALSE(it->Valid());
 }
 
-TEST_F(TreeTest, ScanIteratorsNeverHint) {
-  auto reader = BuildTree(5000);
-  const EnvIoCounters* io = mem_env_.io_counters();
-  uint64_t before = io->readahead_hints.load();
-  auto it = reader->NewIterator();
-  int n = 0;
-  for (it->SeekToFirst(); it->Valid(); it->Next()) n++;
-  EXPECT_EQ(n, 5000);
-  // A scan's hinted-but-unread tail is wasted IO: scans never hint.
-  EXPECT_EQ(io->readahead_hints.load(), before);
-}
-
-TEST_F(TreeTest, MergeInputIteratorsHint) {
-  auto reader = BuildTree(5000);
-  const EnvIoCounters* io = mem_env_.io_counters();
-  EnvIoCounters::Snapshot before = io->snapshot();
-  auto it = reader->NewIterator(/*sequential=*/true);
-  int n = 0;
-  for (it->SeekToFirst(); it->Valid(); it->Next()) n++;
-  EXPECT_EQ(n, 5000);
-  // Merge inputs keep a fixed 256 KiB window ahead of the traversal from
-  // their first data block: the exact stream pinned here.
-  EnvIoCounters::Snapshot d = io->snapshot() - before;
-  EXPECT_EQ(d.readahead_hints, 3u);
-  EXPECT_EQ(d.readahead_hits, 152u);
-}
-
 TEST_F(TreeTest, SequentialIteratorBypassesCache) {
   auto reader = BuildTree(2000);
   uint64_t cache_usage_before = cache_.usage();

@@ -198,8 +198,8 @@ int RunStats(const std::string& dir, const std::string& engine_name) {
 }
 
 // `blsm_inspect io <dbdir> [--engine NAME]`: the io.* slice of the counter
-// map — bytes moved, fsyncs, MultiRead batching, and readahead hints and
-// hits of the engine's Env stack — plus requests per MultiRead batch.
+// map — bytes moved, fsyncs, MultiRead batching and ring writes of the
+// engine's Env stack — plus requests per MultiRead batch.
 // Counters start at zero on this read-only open, so what shows here is the
 // IO that recovery + open itself performed; point it at a live workload by
 // scraping kv::Engine::Stats() instead.

@@ -112,7 +112,7 @@ int main() {
                   ycsb::FormatKey(kRecords + 2000000 + i, true), "value"),
               "insert-if-not-exists probe");
     }
-    tree->WaitForMergeIdle();
+    tree->WaitIdle();
     auto after_iine = ws.stats()->snapshot();
     probe.iine_seeks =
         static_cast<double>((after_iine - after_miss).read_seeks) / kProbes;

@@ -94,7 +94,6 @@ int main() {
     std::unique_ptr<multilevel::MultilevelTree> tree;
     CheckOk(multilevel::MultilevelTree::Open(options, ws.Path("db"), &tree),
             "open multilevel tree");
-    auto engine = kv::WrapMultilevel(tree.get());
 
     PolicyResult r;
     r.policy = tree->CompactionPolicyName();
@@ -107,9 +106,9 @@ int main() {
     uint64_t user_bytes = 0;
     auto level_bytes_start = ReadLevelBytes(*tree);
 
-    RunLoad(engine.get(), load_spec, dopts, false, false);
+    RunLoad(tree.get(), load_spec, dopts, false, false);
     user_bytes += kRecords * (16 + kValueSize);
-    tree->WaitForIdle();
+    tree->WaitIdle();
 
     // fig8 sweep: uniform read/blind-write mixes. Each mix starts quiesced
     // and is charged its own deferred compactions via the trailing settle.
@@ -118,10 +117,10 @@ int main() {
                                              Distribution::kUniform);
       spec.value_size = kValueSize;
       dopts.operations = kOpsPerMix;
-      tree->WaitForIdle();
+      tree->WaitIdle();
       auto before = ws.stats()->snapshot();
-      auto result = RunWorkload(engine.get(), spec, dopts);
-      tree->WaitForIdle();
+      auto result = RunWorkload(tree.get(), spec, dopts);
+      tree->WaitIdle();
       auto io = ws.stats()->snapshot() - before;
       user_bytes += result.ops * pct / 100 * (16 + kValueSize);
       double seeks_per_op =
@@ -155,14 +154,14 @@ int main() {
       // Anchor keys below/above the "user..." key space widen each drained
       // batch to cover every probe key, so the miss probe cannot
       // range-skip the stacked runs.
-      CheckOk(engine->Put("!anchor-low", "drain"), "anchor put");
-      CheckOk(engine->Put("~anchor-high", "drain"), "anchor put");
+      CheckOk(tree->Put("!anchor-low", "drain"), "anchor put");
+      CheckOk(tree->Put("~anchor-high", "drain"), "anchor put");
       for (int i = 0; i < options.l0_compaction_trigger; i++) {
-        CheckOk(engine->Put(FormatKey(kRecords + junk++, true), "drain"),
+        CheckOk(tree->Put(FormatKey(kRecords + junk++, true), "drain"),
                 "L0 drain put");
-        CheckOk(engine->Flush(), "L0 drain flush");
+        CheckOk(tree->Flush(), "L0 drain flush");
       }
-      tree->WaitForIdle();
+      tree->WaitIdle();
     }
     {
       const int kMissProbes = 2000;
@@ -170,7 +169,7 @@ int main() {
       uint64_t runs_before = tree->stats().read_run_probes.load();
       auto before = ws.stats()->snapshot();
       for (int i = 0; i < kMissProbes; i++) {
-        engine->Get(FormatKey(kRecords + 1000000 + i, true), &v)
+        tree->Get(FormatKey(kRecords + 1000000 + i, true), &v)
             .IgnoreError("NotFound is the point of the miss probe");
       }
       auto io = ws.stats()->snapshot() - before;
@@ -188,12 +187,12 @@ int main() {
                                              Distribution::kUniform);
     writes.value_size = kValueSize;
     dopts.operations = kShiftOps;
-    auto phase1 = RunWorkload(engine.get(), writes, dopts);
+    auto phase1 = RunWorkload(tree.get(), writes, dopts);
     auto serving = WorkloadSpec::ReadWriteMix(20, true, kRecords,
                                               Distribution::kZipfian);
     serving.value_size = kValueSize;
-    auto phase2 = RunWorkload(engine.get(), serving, dopts);
-    tree->WaitForIdle();
+    auto phase2 = RunWorkload(tree.get(), serving, dopts);
+    tree->WaitIdle();
     user_bytes += (kShiftOps + kShiftOps * 20 / 100) * (16 + kValueSize);
     r.shift_write_ops_per_second = phase1.OpsPerSecond();
     r.shift_serving_ops_per_second = phase2.OpsPerSecond();

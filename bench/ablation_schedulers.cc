@@ -44,7 +44,6 @@ int main() {
     options.snowshovel = config.snowshovel;
     std::unique_ptr<BlsmTree> tree;
     if (!BlsmTree::Open(options, ws.Path("db"), &tree).ok()) return 1;
-    auto engine = kv::WrapBlsm(tree.get());
 
     WorkloadSpec spec;
     spec.record_count = kRecords;
@@ -52,8 +51,8 @@ int main() {
     DriverOptions dopts;
     dopts.threads = 8;
     dopts.io_stats = ws.stats();
-    auto result = RunLoad(engine.get(), spec, dopts, false, false);
-    tree->WaitForMergeIdle();
+    auto result = RunLoad(tree.get(), spec, dopts, false, false);
+    tree->WaitIdle();
 
     printf("%-26s %10.0f %12.0f %12.0f %12.2f %14.1f\n", config.name,
            result.OpsPerSecond(), result.latency_us.Percentile(99),

@@ -30,7 +30,6 @@ void RunConfig(blsm::bench::JsonReport* report, const char* label,
   if (!snowshovel) options.c0_target_bytes /= 2;
   std::unique_ptr<BlsmTree> tree;
   if (!BlsmTree::Open(options, ws.Path("db"), &tree).ok()) exit(1);
-  auto engine = kv::WrapBlsm(tree.get());
 
   WorkloadSpec spec;
   spec.record_count = records;
@@ -39,8 +38,8 @@ void RunConfig(blsm::bench::JsonReport* report, const char* label,
   dopts.threads = 8;
   dopts.io_stats = ws.stats();
   auto result =
-      RunLoad(engine.get(), spec, dopts, false, /*sorted=*/sequential_keys);
-  tree->WaitForMergeIdle();
+      RunLoad(tree.get(), spec, dopts, false, /*sorted=*/sequential_keys);
+  tree->WaitIdle();
 
   uint64_t passes = tree->stats().merge1_passes.load();
   uint64_t merge_out = tree->stats().merge1_bytes_out.load() +

@@ -55,9 +55,8 @@ int main() {
              .ok()) {
       return 1;
     }
-    auto engine = kv::WrapBlsm(tree.get());
     dopts.io_stats = ws.stats();
-    auto result = RunLoad(engine.get(), spec, dopts, false, false);
+    auto result = RunLoad(tree.get(), spec, dopts, false, false);
     PrintSeries("bLSM (spring-and-gear)", result);
     printf("  write stalls: %.1f ms total backpressure\n",
            static_cast<double>(tree->stats().write_stall_micros.load()) /
@@ -76,9 +75,8 @@ int main() {
              .ok()) {
       return 1;
     }
-    auto engine = kv::WrapMultilevel(tree.get());
     dopts.io_stats = ws.stats();
-    auto result = RunLoad(engine.get(), spec, dopts, false, false);
+    auto result = RunLoad(tree.get(), spec, dopts, false, false);
     PrintSeries("LevelDB-like (partition scheduler)", result);
     printf("  slowdown writes: %" PRIu64 ", stopped writes: %" PRIu64
            ", stall time: %.1f ms\n",

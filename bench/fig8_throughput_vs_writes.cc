@@ -71,21 +71,15 @@ int main() {
 
   {  // B-tree (update-in-place): one curve; updates are never blind.
     Workspace ws("fig8_bt");
-    std::unique_ptr<btree::BTree> tree;
-    if (!btree::BTree::Open(DefaultBTreeOptions(ws.env()), ws.Path("db"),
-                            &tree)
-             .ok()) {
-      return 1;
-    }
-    auto engine = kv::WrapBTree(tree.get());
+    auto tree = OpenBTree(ws.env(), ws.Path("db"), 16 << 20);
     DriverOptions dopts;
     dopts.threads = 8;
     // Hashed keys: the same keyspace the mixes probe. (The sorted-load
     // fast path is Sec 5.2's experiment, not this one.)
-    RunLoad(engine.get(), load_spec, dopts, false, false);
-    CheckOk(tree->Checkpoint(), "post-load checkpoint");
-    run_series("InnoDB-like B-Tree", engine.get(), ws.stats(), /*blind=*/false,
-               [&] { CheckOk(tree->Checkpoint(), "quiesce checkpoint"); });
+    RunLoad(tree.get(), load_spec, dopts, false, false);
+    CheckOk(tree->Flush(), "post-load checkpoint");
+    run_series("InnoDB-like B-Tree", tree.get(), ws.stats(), /*blind=*/false,
+               [&] { CheckOk(tree->Flush(), "quiesce checkpoint"); });
   }
 
   {  // LevelDB-like: RMW and blind.
@@ -97,15 +91,14 @@ int main() {
              .ok()) {
       return 1;
     }
-    auto engine = kv::WrapMultilevel(tree.get());
     DriverOptions dopts;
     dopts.threads = 8;
-    RunLoad(engine.get(), load_spec, dopts, false, false);
+    RunLoad(tree.get(), load_spec, dopts, false, false);
     CheckOk(tree->CompactAll(), "post-load compaction");
-    run_series("LevelDB-like (RMW)", engine.get(), ws.stats(), false,
-               [&] { tree->WaitForIdle(); });
-    run_series("LevelDB-like (blind)", engine.get(), ws.stats(), true,
-               [&] { tree->WaitForIdle(); });
+    run_series("LevelDB-like (RMW)", tree.get(), ws.stats(), false,
+               [&] { tree->WaitIdle(); });
+    run_series("LevelDB-like (blind)", tree.get(), ws.stats(), true,
+               [&] { tree->WaitIdle(); });
   }
 
   {  // bLSM: RMW and blind.
@@ -116,15 +109,14 @@ int main() {
     if (!BlsmTree::Open(blsm_options, ws.Path("db"), &tree).ok()) {
       return 1;
     }
-    auto engine = kv::WrapBlsm(tree.get());
     DriverOptions dopts;
     dopts.threads = 8;
-    RunLoad(engine.get(), load_spec, dopts, false, false);
+    RunLoad(tree.get(), load_spec, dopts, false, false);
     CheckOk(tree->CompactToBottom(), "post-load compaction");
-    run_series("bLSM (RMW)", engine.get(), ws.stats(), false,
-               [&] { tree->WaitForMergeIdle(); });
-    run_series("bLSM (blind)", engine.get(), ws.stats(), true,
-               [&] { tree->WaitForMergeIdle(); });
+    run_series("bLSM (RMW)", tree.get(), ws.stats(), false,
+               [&] { tree->WaitIdle(); });
+    run_series("bLSM (blind)", tree.get(), ws.stats(), true,
+               [&] { tree->WaitIdle(); });
   }
 
   auto print_panel = [&](const char* title,

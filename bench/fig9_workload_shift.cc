@@ -69,7 +69,6 @@ int main() {
            .ok()) {
     return 1;
   }
-  auto engine = kv::WrapBlsm(tree.get());
 
   WorkloadSpec load_spec;
   load_spec.record_count = kRecords;
@@ -77,7 +76,7 @@ int main() {
   DriverOptions dopts;
   dopts.threads = 8;
   dopts.bucket_seconds = 0.5;
-  RunLoad(engine.get(), load_spec, dopts, false, false);
+  RunLoad(tree.get(), load_spec, dopts, false, false);
 
   // Phase 1: saturate with 100% uniform blind writes (pre-shift regime).
   auto writes =
@@ -85,7 +84,7 @@ int main() {
   writes.value_size = 1000;
   dopts.operations = kSaturationOps;
   dopts.io_stats = ws.stats();
-  auto phase1 = RunWorkload(engine.get(), writes, dopts);
+  auto phase1 = RunWorkload(tree.get(), writes, dopts);
   printf("\npre-shift (100%% uniform writes): %.0f ops/s, p99 latency %.2f ms\n",
          phase1.OpsPerSecond(),
          phase1.latency_us.Percentile(99) / 1000.0);
@@ -97,7 +96,7 @@ int main() {
   dopts.operations = kServingOps;
   // Fine buckets, coarsened below into kPostShiftWindows windows.
   dopts.bucket_seconds = 0.005;
-  auto phase2 = RunWorkload(engine.get(), serving, dopts);
+  auto phase2 = RunWorkload(tree.get(), serving, dopts);
 
   printf("\n--- post-shift timeseries (80%% read / 20%% blind write, "
          "zipfian)\n");

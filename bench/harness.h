@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "btree/btree.h"
 #include "engine/kv.h"
 #include "io/env.h"
 #include "lsm/blsm_tree.h"
@@ -88,11 +87,16 @@ inline BlsmOptions DefaultBlsmOptions(Env* env) {
   return options;
 }
 
-inline btree::BTreeOptions DefaultBTreeOptions(Env* env) {
-  btree::BTreeOptions options;
+// The B-tree baseline, opened on `dir` through the engine registry (its
+// buffer pool gets block_cache_bytes / 4096 pages). Aborts on failure.
+inline std::unique_ptr<kv::Engine> OpenBTree(Env* env, const std::string& dir,
+                                             size_t block_cache_bytes) {
+  kv::CommonOptions options;
   options.env = env;
-  options.buffer_pool_pages = (16 << 20) / 4096;  // 16 MiB pool
-  return options;
+  options.block_cache_bytes = block_cache_bytes;
+  std::unique_ptr<kv::Engine> engine;
+  CheckOk(kv::Open("btree", options, dir, &engine), "open B-tree");
+  return engine;
 }
 
 inline multilevel::MultilevelOptions DefaultMultilevelOptions(Env* env) {

@@ -34,6 +34,8 @@ namespace {
 using namespace blsm;
 using namespace blsm::bench;
 
+constexpr size_t kValueSize = 500;
+
 double Now() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -82,11 +84,11 @@ void OpenMultiGetPass(MultiGetPass* pass, const std::string& dir) {
 }
 
 // One repetition: evict the page cache, replay the identical batch
-// schedule, keep the minimum elapsed time. `expected[id]` is the value the
-// build wrote for record `id`.
+// schedule, keep the minimum time spent inside MultiGet. `values`
+// regenerates the value the build wrote for each of the `records` ids.
 void RunMultiGetRep(MultiGetPass* pass, const std::string& dir,
-                    const std::vector<std::string>& expected, int batches,
-                    size_t batch_size) {
+                    const ycsb::ValueGenerator& values, uint64_t records,
+                    int batches, size_t batch_size) {
   DropPageCache(dir);
   const EnvIoCounters* io = pass->env->io_counters();
   EnvIoCounters::Snapshot before = io->snapshot();
@@ -94,25 +96,27 @@ void RunMultiGetRep(MultiGetPass* pass, const std::string& dir,
   std::vector<uint64_t> ids(batch_size);
   std::vector<std::string> key_storage(batch_size);
   std::vector<Slice> keys(batch_size);
-  std::vector<std::string> values;
-  double t0 = Now();
+  std::vector<std::string> got;
+  double elapsed = 0;
   for (int b = 0; b < batches; b++) {
     // Scattered keys: each lands in its own data block, so the batch is 64
     // independent cold block reads. A synchronous backend issues them one
     // at a time; a batched one hands the whole set to the kernel in a
     // single submission and lets the device's queue depth absorb them.
     for (size_t i = 0; i < batch_size; i++) {
-      ids[i] = rnd.Uniform(expected.size());
+      ids[i] = rnd.Uniform(records);
       key_storage[i] = ycsb::FormatKey(ids[i], false);
       keys[i] = key_storage[i];
     }
-    std::vector<Status> statuses = pass->tree->MultiGet(keys, &values);
+    double t0 = Now();
+    std::vector<Status> statuses = pass->tree->MultiGet(keys, &got);
+    elapsed += Now() - t0;
     for (size_t i = 0; i < batch_size; i++) {
       CheckOk(statuses[i], "multiget");
-      if (values[i] != expected[ids[i]]) pass->value_mismatches++;
+      if (got[i] != values.Next(ids[i], kValueSize)) pass->value_mismatches++;
     }
   }
-  pass->elapsed = std::min(pass->elapsed, Now() - t0);
+  pass->elapsed = std::min(pass->elapsed, elapsed);
   if (!pass->have_counters) {
     pass->per_rep = io->snapshot() - before;
     pass->have_counters = true;
@@ -147,7 +151,7 @@ int main() {
   const size_t kBatchSize = 64;
 
   PrintHeader("IO backend: batched/async Env vs synchronous baseline");
-  printf("dataset: %" PRIu64 " records x 500 B\n", kRecords);
+  printf("dataset: %" PRIu64 " records x %zu B\n", kRecords, kValueSize);
 
   JsonReport report("io_backend");
   Workspace ws("io_backend");
@@ -161,16 +165,13 @@ int main() {
   // Build once, probe under each stack.
   printf("\ncold-read MultiGet (%d batches x %zu scattered keys):\n",
          kBatches, kBatchSize);
-  std::vector<std::string> expected;
-  expected.reserve(kRecords);
+  const ycsb::ValueGenerator values(13);
   {
     BlsmOptions o = DefaultBlsmOptions(posix);
     std::unique_ptr<BlsmTree> tree;
     CheckOk(BlsmTree::Open(o, ws.Path("blsm"), &tree), "build tree");
-    ycsb::ValueGenerator values(13);
     for (uint64_t i = 0; i < kRecords; i++) {
-      expected.push_back(values.Next(i, 500));
-      CheckOk(tree->Put(ycsb::FormatKey(i, false), expected.back()),
+      CheckOk(tree->Put(ycsb::FormatKey(i, false), values.Next(i, kValueSize)),
               "build put");
     }
     CheckOk(tree->CompactToBottom(), "compact to bottom");
@@ -203,7 +204,8 @@ int main() {
   constexpr int kMultiGetReps = 4;
   for (int rep = 0; rep < kMultiGetReps; rep++) {
     for (MultiGetPass& pass : mg_passes) {
-      RunMultiGetRep(&pass, ws.Path("blsm"), expected, kBatches, kBatchSize);
+      RunMultiGetRep(&pass, ws.Path("blsm"), values, kRecords, kBatches,
+                     kBatchSize);
     }
   }
   double base_mg = 0, best_mg = 1e30;

@@ -193,7 +193,7 @@ double CpuSeconds(const rusage& ru) {
 
 // Load and drain: range(0) thousand random-key 1000 B Puts into a kAsync
 // BlsmTree with an 8 MiB C0 on real files (Env::Default()), then
-// WaitForMergeIdle, so every C0->C1 and C1->C2 merge the load triggers runs
+// WaitIdle, so every C0->C1 and C1->C2 merge the load triggers runs
 // to completion inside the timed region. One iteration; the time is
 // wall-clock. The counters are getrusage(RUSAGE_SELF) deltas over the same
 // region, so cpu_s covers every thread (writer and both merge threads) and
@@ -219,7 +219,7 @@ void BM_BlsmLoadDrain(benchmark::State& state) {
                static_cast<unsigned long long>(rnd.Next()));
       bench::CheckOk(tree->Put(key, value), "put");
     }
-    tree->WaitForMergeIdle();
+    tree->WaitIdle();
 
     state.PauseTiming();
     rusage after;

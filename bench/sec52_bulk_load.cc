@@ -74,8 +74,7 @@ int main() {
     options.block_cache_bytes = kCacheBytes;
     std::unique_ptr<BlsmTree> tree;
     if (!BlsmTree::Open(options, ws.Path("db"), &tree).ok()) return 1;
-    auto engine = kv::WrapBlsm(tree.get());
-    run_case("bLSM unordered+checked", ws, engine.get(), kRecords, true,
+    run_case("bLSM unordered+checked", ws, tree.get(), kRecords, true,
              false);
   }
 
@@ -87,8 +86,7 @@ int main() {
     if (!multilevel::MultilevelTree::Open(options, ws.Path("db"), &tree).ok()) {
       return 1;
     }
-    auto engine = kv::WrapMultilevel(tree.get());
-    run_case("LevelDB-like blind", ws, engine.get(), kRecords, false, false);
+    run_case("LevelDB-like blind", ws, tree.get(), kRecords, false, false);
     printf("  (LevelDB-like blind: %" PRIu64 " slowdowns, %" PRIu64
            " stopped writes during load)\n",
            tree->stats().slowdown_writes.load(),
@@ -103,29 +101,20 @@ int main() {
     if (!multilevel::MultilevelTree::Open(options, ws.Path("db"), &tree).ok()) {
       return 1;
     }
-    auto engine = kv::WrapMultilevel(tree.get());
-    run_case("LevelDB-like checked", ws, engine.get(), kRecords, true, false);
+    run_case("LevelDB-like checked", ws, tree.get(), kRecords, true, false);
   }
 
   {
     Workspace ws("load_bt_sorted");
-    auto options = DefaultBTreeOptions(ws.env());
-    options.buffer_pool_pages = kCacheBytes / 4096;
-    std::unique_ptr<btree::BTree> tree;
-    if (!btree::BTree::Open(options, ws.Path("db"), &tree).ok()) return 1;
-    auto engine = kv::WrapBTree(tree.get());
-    run_case("B-Tree pre-sorted+checked", ws, engine.get(), kRecords, true,
+    auto tree = OpenBTree(ws.env(), ws.Path("db"), kCacheBytes);
+    run_case("B-Tree pre-sorted+checked", ws, tree.get(), kRecords, true,
              true);
   }
 
   {
     Workspace ws("load_bt_unordered");
-    auto options = DefaultBTreeOptions(ws.env());
-    options.buffer_pool_pages = kCacheBytes / 4096;
-    std::unique_ptr<btree::BTree> tree;
-    if (!btree::BTree::Open(options, ws.Path("db"), &tree).ok()) return 1;
-    auto engine = kv::WrapBTree(tree.get());
-    run_case("B-Tree unordered+checked (1/4)", ws, engine.get(),
+    auto tree = OpenBTree(ws.env(), ws.Path("db"), kCacheBytes);
+    run_case("B-Tree unordered+checked (1/4)", ws, tree.get(),
              kBtreeUnorderedRecords, true, false);
   }
 

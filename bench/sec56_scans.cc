@@ -52,12 +52,7 @@ int main() {
            .ok()) {
     return 1;
   }
-  std::unique_ptr<btree::BTree> bt;
-  if (!btree::BTree::Open(DefaultBTreeOptions(ws.env()), ws.Path("bt.db"),
-                          &bt)
-           .ok()) {
-    return 1;
-  }
+  auto bt = OpenBTree(ws.env(), ws.Path("bt"), 16 << 20);
 
   // Fragmenting load: hashed (random) key order scatters logically adjacent
   // B-tree leaves across the file, exactly like the paper's post-read-write
@@ -73,10 +68,10 @@ int main() {
     // prefix make sense while the B-tree still fragments.
     std::string key = ycsb::FormatKey(id, false);
     std::string value = values.Next(id, 1000);
-    CheckOk(bt->Insert(key, value), "load insert");
+    CheckOk(bt->Put(key, value), "load insert");
     CheckOk(lsm->Put(key, value), "load put");
   }
-  CheckOk(bt->Checkpoint(), "post-load checkpoint");
+  CheckOk(bt->Flush(), "post-load checkpoint");
   // Spread bLSM data across all three components: most in C2, a slice in
   // C1 and C0 (the three-seek configuration of §3.3).
   CheckOk(lsm->CompactToBottom(), "compact to bottom");

@@ -194,8 +194,7 @@ int main() {
     options.scheduler = SchedulerKind::kSpringGear;
     std::unique_ptr<BlsmTree> tree;
     CheckOk(BlsmTree::Open(options, ws.Path("db"), &tree), "open blsm");
-    auto engine = kv::WrapBlsm(tree.get());
-    auto s = RunStability(engine.get(), "blsm/spring-gear", duration_ms,
+    auto s = RunStability(tree.get(), "blsm/spring-gear", duration_ms,
                           window_ms, kValueSize, &report);
     blsm_spring_max_stall = static_cast<double>(s.max_stall_micros);
   }
@@ -206,8 +205,7 @@ int main() {
     options.scheduler = SchedulerKind::kNaive;
     std::unique_ptr<BlsmTree> tree;
     CheckOk(BlsmTree::Open(options, ws.Path("db"), &tree), "open blsm");
-    auto engine = kv::WrapBlsm(tree.get());
-    auto s = RunStability(engine.get(), "blsm/naive", duration_ms, window_ms,
+    auto s = RunStability(tree.get(), "blsm/naive", duration_ms, window_ms,
                           kValueSize, &report);
     blsm_naive_max_stall = static_cast<double>(s.max_stall_micros);
   }
@@ -217,18 +215,13 @@ int main() {
     std::unique_ptr<multilevel::MultilevelTree> tree;
     CheckOk(multilevel::MultilevelTree::Open(options, ws.Path("db"), &tree),
             "open multilevel");
-    auto engine = kv::WrapMultilevel(tree.get());
-    RunStability(engine.get(), "multilevel/baseline", duration_ms, window_ms,
+    RunStability(tree.get(), "multilevel/baseline", duration_ms, window_ms,
                  kValueSize, &report);
   }
   {
     Workspace ws("stability_btree");
-    auto options = DefaultBTreeOptions(ws.env());
-    std::unique_ptr<btree::BTree> tree;
-    CheckOk(btree::BTree::Open(options, ws.Path("btree.db"), &tree),
-            "open btree");
-    auto engine = kv::WrapBTree(tree.get());
-    RunStability(engine.get(), "btree/baseline", duration_ms, window_ms,
+    auto tree = OpenBTree(ws.env(), ws.Path("btree"), 16 << 20);
+    RunStability(tree.get(), "btree/baseline", duration_ms, window_ms,
                  kValueSize, &report);
   }
 

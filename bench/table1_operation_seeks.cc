@@ -74,10 +74,7 @@ int main() {
   std::unique_ptr<BlsmTree> blsm_tree;
   if (!BlsmTree::Open(blsm_opts, ws.Path("blsm"), &blsm_tree).ok()) return 1;
 
-  auto bt_opts = DefaultBTreeOptions(ws.env());
-  bt_opts.buffer_pool_pages = (4 << 20) / 4096;
-  std::unique_ptr<btree::BTree> bt;
-  if (!btree::BTree::Open(bt_opts, ws.Path("btree.db"), &bt).ok()) return 1;
+  auto bt = OpenBTree(ws.env(), ws.Path("btree"), 4 << 20);
 
   auto ml_opts = DefaultMultilevelOptions(ws.env());
   ml_opts.block_cache_bytes = 4 << 20;
@@ -114,8 +111,7 @@ int main() {
       std::swap(ids[i], ids[shuffle_rnd.Uniform(i + 1)]);
     }
     for (uint64_t id : ids) {
-      CheckOk(bt->Insert(ycsb::FormatKey(id, false),
-                         values.Next(id, kValueSize)),
+      CheckOk(bt->Put(ycsb::FormatKey(id, false), values.Next(id, kValueSize)),
               "load insert");
     }
   }
@@ -138,7 +134,7 @@ int main() {
   // After quiescing, repopulate L0 with a few runs — the steady state of a
   // LevelDB under write load, which is what the paper measures (left to the
   // background thread's timing, the L0 count would be 0-3 at random).
-  ml->WaitForIdle();
+  ml->WaitIdle();
   {
     Random refresh(9);
     uint64_t budget = 7 * (1 << 20) + (1 << 19);  // ~7 runs of 1 MiB
@@ -151,7 +147,7 @@ int main() {
     }
     Env::Default()->SleepForMicroseconds(200000);  // let flushes finish
   }
-  CheckOk(bt->Checkpoint(), "post-load checkpoint");
+  CheckOk(bt->Flush(), "post-load checkpoint");
 
   // Warm index structures (the paper's read-amplification convention caches
   // bottom-level index pages, §2.1).
@@ -232,7 +228,7 @@ int main() {
                                 n, &scan_out),
                 "probe scan");
       },
-      [&] { blsm_tree->WaitForMergeIdle(); });
+      [&] { blsm_tree->WaitIdle(); });
 
   run_engine(
       "B-Tree",
@@ -259,8 +255,8 @@ int main() {
                 "probe delta-rmw");
       },
       [&](Random& rnd) {
-        CheckOk(bt->Insert(ycsb::FormatKey(rnd.Uniform(kRecords), false),
-                           fresh_value(rnd)),
+        CheckOk(bt->Put(ycsb::FormatKey(rnd.Uniform(kRecords), false),
+                        fresh_value(rnd)),
                 "probe insert");
       },
       [&](Random& rnd, uint64_t n) {
@@ -268,7 +264,7 @@ int main() {
                          &scan_out),
                 "probe scan");
       },
-      [&] { CheckOk(bt->Checkpoint(), "quiesce checkpoint"); });
+      [&] { CheckOk(bt->Flush(), "quiesce checkpoint"); });
 
   run_engine(
       "LevelDB-like",
@@ -299,7 +295,7 @@ int main() {
                          &scan_out),
                 "probe scan");
       },
-      [&] { ml->WaitForIdle(); });
+      [&] { ml->WaitIdle(); });
 
   printf("\nPaper (Table 1): bLSM 1/1/0/0/~2 vs B-Tree 1/2/2/2/1/N vs\n"
          "LevelDB O(log n) reads+scans, 0-seek blind writes, plus deferred\n"

@@ -58,7 +58,6 @@ int main() {
       options.durability = mode.durability;
       std::unique_ptr<BlsmTree> tree;
       if (!BlsmTree::Open(options, ws.Path("db"), &tree).ok()) return 1;
-      auto engine = kv::WrapBlsm(tree.get());
 
       WorkloadSpec spec;
       spec.record_count = mode.records;
@@ -67,7 +66,7 @@ int main() {
       dopts.threads = threads;
       dopts.batch_size = mode.batch_size;
       dopts.io_stats = ws.stats();
-      auto result = RunLoad(engine.get(), spec, dopts, false, false);
+      auto result = RunLoad(tree.get(), spec, dopts, false, false);
 
       double syncs_per_op =
           result.ops > 0

@@ -66,19 +66,12 @@ int main() {
              .ok()) {
       return 1;
     }
-    auto engine = kv::WrapBlsm(tree.get());
-    run_engine("bLSM", engine.get());
+    run_engine("bLSM", tree.get());
   }
   {
     Workspace ws("ycsb_bt");
-    std::unique_ptr<btree::BTree> tree;
-    if (!btree::BTree::Open(DefaultBTreeOptions(ws.env()), ws.Path("db"),
-                            &tree)
-             .ok()) {
-      return 1;
-    }
-    auto engine = kv::WrapBTree(tree.get());
-    run_engine("B-Tree", engine.get());
+    auto tree = OpenBTree(ws.env(), ws.Path("db"), 16 << 20);
+    run_engine("B-Tree", tree.get());
   }
   {
     Workspace ws("ycsb_ml");
@@ -88,8 +81,7 @@ int main() {
              .ok()) {
       return 1;
     }
-    auto engine = kv::WrapMultilevel(tree.get());
-    run_engine("LevelDB-like", engine.get());
+    run_engine("LevelDB-like", tree.get());
   }
 
   printf("\nExpected: bLSM matches or beats the baselines on A-D and F;\n"

@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
            s.ok() ? "found" : s.ToString().c_str());
   }
 
-  tree->WaitForMergeIdle();
+  tree->WaitIdle();
   printf("final on-disk size: %.1f MB across the three components\n",
          static_cast<double>(tree->OnDiskBytes()) / 1e6);
   return 0;

@@ -12,219 +12,16 @@
 
 namespace blsm::kv {
 
-std::vector<Status> Engine::MultiGet(const std::vector<Slice>& keys,
-                                     std::vector<std::string>* values) {
-  // Default: a Get loop. No single-view guarantee beyond what consecutive
-  // Gets give; engines with a real batched path override this.
-  values->assign(keys.size(), std::string());
-  std::vector<Status> statuses(keys.size());
-  for (size_t i = 0; i < keys.size(); i++) {
-    statuses[i] = Get(keys[i], &(*values)[i]);
-  }
-  return statuses;
-}
-
 namespace {
 
-// Shared io.* key block: each engine reports its Env stack's terminal
-// counters (decorators forward io_counters() down to the terminal). A stack
-// with no counting terminal reports zeros so the keys stay present.
-void AddIoStats(const EnvIoCounters* io,
-                std::map<std::string, uint64_t>* stats) {
-  const EnvIoCounters::Snapshot c =
-      io != nullptr ? io->snapshot() : EnvIoCounters::Snapshot{};
-  (*stats)["io.read_bytes"] = c.read_bytes;
-  (*stats)["io.write_bytes"] = c.write_bytes;
-  (*stats)["io.syncs"] = c.syncs;
-  (*stats)["io.multiread_batches"] = c.multiread_batches;
-  (*stats)["io.multiread_requests"] = c.multiread_requests;
-  (*stats)["io.ring_writes"] = c.ring_writes;
-  (*stats)["io.direct_write_fallbacks"] = c.direct_write_fallbacks;
-}
-
-// --- adapters ---------------------------------------------------------------
-
-// Each adapter optionally owns the tree (registry opens) or borrows it
-// (Wrap* over a tree the caller keeps for engine-specific access).
-
-class BlsmEngine : public Engine {
+// The one adapter: the B-tree keeps its own API (update-in-place Insert,
+// NotFound deletes, no read-only mode), and this class maps it onto the
+// engine contract. Reached only through kv::Open("btree"), which hands it
+// ownership of the tree.
+class BTreeEngine final : public Engine {
  public:
-  BlsmEngine(BlsmTree* tree, std::unique_ptr<BlsmTree> owned)
-      : tree_(tree), owned_(std::move(owned)) {}
-
-  std::string Name() const override { return "bLSM"; }
-
-  Status Put(const Slice& key, const Slice& value) override {
-    return tree_->Put(key, value);
-  }
-  Status Write(const WriteBatch& batch) override {
-    return tree_->Write(batch);
-  }
-  Status Get(const Slice& key, std::string* value) override {
-    return tree_->Get(key, value);
-  }
-  std::vector<Status> MultiGet(const std::vector<Slice>& keys,
-                               std::vector<std::string>* values) override {
-    return tree_->MultiGet(keys, values);
-  }
-  Status Delete(const Slice& key) override { return tree_->Delete(key); }
-  Status InsertIfNotExists(const Slice& key, const Slice& value) override {
-    return tree_->InsertIfNotExists(key, value);
-  }
-  Status ReadModifyWrite(
-      const Slice& key,
-      const std::function<std::string(const std::string&, bool)>& update)
-      override {
-    return tree_->ReadModifyWrite(key, update);
-  }
-  Status Scan(const ReadOptions& /*options*/, const Slice& start, size_t limit,
-              std::vector<std::pair<std::string, std::string>>* out) override {
-    return tree_->Scan(start, limit, out);
-  }
-  Status Flush() override { return tree_->Flush(); }
-  void WaitIdle() override { tree_->WaitForMergeIdle(); }
-  Status BackgroundError() const override { return tree_->BackgroundError(); }
-
-  std::map<std::string, uint64_t> Stats() const override {
-    const BlsmStats& s = tree_->stats();
-    const LogicalLog::Counters wal = tree_->WalCounters();
-    std::map<std::string, uint64_t> stats = {
-        {"puts", s.puts.load()},
-        {"gets", s.gets.load()},
-        {"deletes", s.deletes.load()},
-        {"deltas", s.deltas.load()},
-        {"insert_if_not_exists", s.insert_if_not_exists.load()},
-        {"bloom_skips", s.bloom_skips.load()},
-        {"write.stalls", s.write_stalls.load()},
-        {"write_stall_micros", s.write_stall_micros.load()},
-        {"write.max_stall_micros", s.max_stall_micros.load()},
-        {"merge1_passes", s.merge1_passes.load()},
-        {"merge2_passes", s.merge2_passes.load()},
-        {"merge1_bytes_out", s.merge1_bytes_out.load()},
-        {"merge2_bytes_out", s.merge2_bytes_out.load()},
-        {"merge_retries", s.merge_retries.load()},
-        {"orphans_scavenged", s.orphans_scavenged.load()},
-        {"on_disk_bytes", tree_->OnDiskBytes()},
-        {"c0_live_bytes", tree_->C0LiveBytes()},
-        {"wal.records", wal.records},
-        {"wal.batches", wal.batches},
-        {"wal.syncs", wal.syncs},
-        {"wal.records_per_batch",
-         wal.batches != 0 ? wal.records / wal.batches : 0},
-        {"block_cache.hits", tree_->CacheHits()},
-        {"block_cache.misses", tree_->CacheMisses()},
-        {"read.views_pinned", s.views_pinned.load()},
-        {"read.multiget_batches", s.multiget_batches.load()},
-        {"read.blocks_coalesced", s.blocks_coalesced.load()},
-    };
-    AddIoStats(tree_->IoCounters(), &stats);
-    return stats;
-  }
-
- private:
-  BlsmTree* tree_;
-  std::unique_ptr<BlsmTree> owned_;
-};
-
-class MultilevelEngine : public Engine {
- public:
-  MultilevelEngine(multilevel::MultilevelTree* tree,
-                   std::unique_ptr<multilevel::MultilevelTree> owned)
-      : tree_(tree), owned_(std::move(owned)) {}
-
-  std::string Name() const override { return "LevelDB-like"; }
-
-  Status Put(const Slice& key, const Slice& value) override {
-    return tree_->Put(key, value);
-  }
-  Status Write(const WriteBatch& batch) override {
-    return tree_->Write(batch);
-  }
-  Status Get(const Slice& key, std::string* value) override {
-    return tree_->Get(key, value);
-  }
-  std::vector<Status> MultiGet(const std::vector<Slice>& keys,
-                               std::vector<std::string>* values) override {
-    return tree_->MultiGet(keys, values);
-  }
-  Status Delete(const Slice& key) override { return tree_->Delete(key); }
-  Status InsertIfNotExists(const Slice& key, const Slice& value) override {
-    return tree_->InsertIfNotExists(key, value);
-  }
-  Status ReadModifyWrite(
-      const Slice& key,
-      const std::function<std::string(const std::string&, bool)>& update)
-      override {
-    return tree_->ReadModifyWrite(key, update);
-  }
-  Status Scan(const ReadOptions& /*options*/, const Slice& start, size_t limit,
-              std::vector<std::pair<std::string, std::string>>* out) override {
-    return tree_->Scan(start, limit, out);
-  }
-  Status Flush() override { return tree_->CompactAll(); }
-  void WaitIdle() override { tree_->WaitForIdle(); }
-  Status BackgroundError() const override { return tree_->BackgroundError(); }
-
-  std::map<std::string, uint64_t> Stats() const override {
-    const multilevel::MultilevelStats& s = tree_->stats();
-    const LogicalLog::Counters wal = tree_->WalCounters();
-    std::map<std::string, uint64_t> stats = {
-        {"puts", s.puts.load()},
-        {"gets", s.gets.load()},
-        {"write.stalls", s.write_stalls.load()},
-        {"write_stall_micros", s.write_stall_micros.load()},
-        {"write.max_stall_micros", s.max_stall_micros.load()},
-        {"slowdown_writes", s.slowdown_writes.load()},
-        {"stopped_writes", s.stopped_writes.load()},
-        {"memtable_flushes", s.memtable_flushes.load()},
-        {"c0_live_bytes", tree_->C0LiveBytes()},
-        {"compactions", s.compactions.load()},
-        {"compaction_bytes", s.compaction_bytes.load()},
-        {"compaction_retries", s.compaction_retries.load()},
-        // Which point of the compaction design space this tree runs (the
-        // engine::CompactionLayout value; the spec string is
-        // tree->CompactionPolicyName()).
-        {"compaction.policy",
-         static_cast<uint64_t>(tree_->CompactionPolicyLayout())},
-        {"orphans_scavenged", s.orphans_scavenged.load()},
-        {"on_disk_bytes", tree_->OnDiskBytes()},
-        {"wal.records", wal.records},
-        {"wal.batches", wal.batches},
-        {"wal.syncs", wal.syncs},
-        {"wal.records_per_batch",
-         wal.batches != 0 ? wal.records / wal.batches : 0},
-        {"block_cache.hits", tree_->CacheHits()},
-        {"block_cache.misses", tree_->CacheMisses()},
-        {"read.views_pinned", s.views_pinned.load()},
-        {"read.multiget_batches", s.multiget_batches.load()},
-        {"read.run_probes", s.read_run_probes.load()},
-        // No cross-key block coalescing in the multilevel read path; the
-        // key is reported for cross-engine symmetry.
-        {"read.blocks_coalesced", 0},
-    };
-    // Per-level shape and write-amplification bytes (flushes land in l0).
-    for (int l = 0; l < multilevel::kNumLevels; l++) {
-      std::string suffix = "_l" + std::to_string(l);
-      stats["files" + suffix] =
-          static_cast<uint64_t>(tree_->NumFilesAtLevel(l));
-      stats["level_bytes" + suffix] = tree_->BytesAtLevel(l);
-      stats["compaction.write_bytes" + suffix] =
-          s.level_write_bytes[l].load();
-    }
-    AddIoStats(tree_->IoCounters(), &stats);
-    return stats;
-  }
-
- private:
-  multilevel::MultilevelTree* tree_;
-  std::unique_ptr<multilevel::MultilevelTree> owned_;
-};
-
-class BTreeEngine : public Engine {
- public:
-  BTreeEngine(btree::BTree* tree, std::unique_ptr<btree::BTree> owned,
-              bool read_only)
-      : tree_(tree), owned_(std::move(owned)), read_only_(read_only) {}
+  BTreeEngine(std::unique_ptr<btree::BTree> tree, bool read_only)
+      : tree_(std::move(tree)), read_only_(read_only) {}
 
   std::string Name() const override { return "B-Tree"; }
 
@@ -311,8 +108,7 @@ class BTreeEngine : public Engine {
   }
 
  private:
-  btree::BTree* tree_;
-  std::unique_ptr<btree::BTree> owned_;
+  std::unique_ptr<btree::BTree> tree_;
   bool read_only_;
 };
 
@@ -335,8 +131,7 @@ Status OpenBlsm(const CommonOptions& common, const std::string& dir,
   std::unique_ptr<BlsmTree> tree;
   Status s = BlsmTree::Open(o, dir, &tree);
   if (!s.ok()) return s;
-  BlsmTree* raw = tree.get();
-  *out = std::make_unique<BlsmEngine>(raw, std::move(tree));
+  *out = std::move(tree);
   return Status::OK();
 }
 
@@ -356,8 +151,7 @@ Status OpenMultilevel(const CommonOptions& common, const std::string& dir,
   std::unique_ptr<multilevel::MultilevelTree> tree;
   Status s = multilevel::MultilevelTree::Open(o, dir, &tree);
   if (!s.ok()) return s;
-  multilevel::MultilevelTree* raw = tree.get();
-  *out = std::make_unique<MultilevelEngine>(raw, std::move(tree));
+  *out = std::move(tree);
   return Status::OK();
 }
 
@@ -386,8 +180,7 @@ Status OpenBTree(const CommonOptions& common, const std::string& dir,
   std::unique_ptr<btree::BTree> tree;
   Status s = btree::BTree::Open(o, fname, &tree);
   if (!s.ok()) return s;
-  btree::BTree* raw = tree.get();
-  *out = std::make_unique<BTreeEngine>(raw, std::move(tree), common.read_only);
+  *out = std::make_unique<BTreeEngine>(std::move(tree), common.read_only);
   return Status::OK();
 }
 
@@ -460,18 +253,6 @@ std::vector<std::string> EngineNames() {
   names.reserve(r.factories.size());
   for (const auto& [name, factory] : r.factories) names.push_back(name);
   return names;
-}
-
-std::unique_ptr<Engine> WrapBlsm(BlsmTree* tree) {
-  return std::make_unique<BlsmEngine>(tree, nullptr);
-}
-
-std::unique_ptr<Engine> WrapBTree(btree::BTree* tree) {
-  return std::make_unique<BTreeEngine>(tree, nullptr, /*read_only=*/false);
-}
-
-std::unique_ptr<Engine> WrapMultilevel(multilevel::MultilevelTree* tree) {
-  return std::make_unique<MultilevelEngine>(tree, nullptr);
 }
 
 }  // namespace blsm::kv

@@ -14,20 +14,11 @@
 #include "util/status.h"
 #include "wal/logical_log.h"
 
-namespace blsm {
-class BlsmTree;
-namespace btree {
-class BTree;
-}
-namespace multilevel {
-class MultilevelTree;
-}
-}  // namespace blsm
-
 namespace blsm::kv {
 
 // Options every engine understands; engine-specific tuning keeps its
-// concrete options struct (open the tree directly for that). The fields map
+// concrete options struct (BlsmTree::Open / MultilevelTree::Open take it
+// and return a tree that is itself a kv::Engine). The fields map
 // onto each engine's closest equivalent: write_buffer_bytes is bLSM's C0
 // target, the multilevel tree's memtable, and sizes the B-tree's buffer
 // pool; durability and the background policy are ignored by the B-tree
@@ -58,6 +49,9 @@ struct ReadOptions {};
 // The unified engine interface: one API over bLSM, the multilevel LevelDB
 // stand-in, and the B-tree, so drivers, benches, and tools exercise all
 // three through identical code paths (the paper's whole evaluation setup).
+// BlsmTree and MultilevelTree implement it directly; the B-tree is reached
+// through kv::Open("btree"), whose adapter supplies the LSM delete
+// semantics and a read-only gate.
 class Engine {
  public:
   virtual ~Engine() = default;
@@ -77,9 +71,17 @@ class Engine {
   // read view for the whole batch (bLSM additionally sorts the probe set
   // and coalesces block reads); the default implementation is a Get loop.
   virtual std::vector<Status> MultiGet(const std::vector<Slice>& keys,
-                                       std::vector<std::string>* values);
-  // Blind delete: removing an absent key succeeds (LSM tombstone
-  // semantics; the B-tree adapter normalizes its NotFound to OK).
+                                       std::vector<std::string>* values) {
+    values->assign(keys.size(), std::string());
+    std::vector<Status> statuses(keys.size());
+    for (size_t i = 0; i < keys.size(); i++) {
+      statuses[i] = Get(keys[i], &(*values)[i]);
+    }
+    return statuses;
+  }
+  // Blind delete: removing an absent key succeeds, for every engine (LSM
+  // tombstone semantics; kv::Open("btree") maps the B-tree's NotFound to
+  // OK).
   virtual Status Delete(const Slice& key) = 0;
   // Returns KeyExists without writing if the key is present.
   virtual Status InsertIfNotExists(const Slice& key, const Slice& value) = 0;
@@ -125,13 +127,22 @@ Status Open(const std::string& name, const CommonOptions& options,
 // Registered names, sorted.
 std::vector<std::string> EngineNames();
 
-// Non-owning adapters over already-open trees: the bench harness keeps the
-// concrete tree for engine-specific stats/scheduler access while driving
-// the workload through the unified interface. The tree must outlive the
-// returned Engine.
-std::unique_ptr<Engine> WrapBlsm(BlsmTree* tree);
-std::unique_ptr<Engine> WrapBTree(btree::BTree* tree);
-std::unique_ptr<Engine> WrapMultilevel(multilevel::MultilevelTree* tree);
+// The io.* key block every engine's Stats() reports: the Env stack's
+// terminal counters (decorators forward io_counters() down to the
+// terminal). A stack with no counting terminal reports zeros so the keys
+// stay present.
+inline void AddIoStats(const EnvIoCounters* io,
+                       std::map<std::string, uint64_t>* stats) {
+  const EnvIoCounters::Snapshot c =
+      io != nullptr ? io->snapshot() : EnvIoCounters::Snapshot{};
+  (*stats)["io.read_bytes"] = c.read_bytes;
+  (*stats)["io.write_bytes"] = c.write_bytes;
+  (*stats)["io.syncs"] = c.syncs;
+  (*stats)["io.multiread_batches"] = c.multiread_batches;
+  (*stats)["io.multiread_requests"] = c.multiread_requests;
+  (*stats)["io.ring_writes"] = c.ring_writes;
+  (*stats)["io.direct_write_fallbacks"] = c.direct_write_fallbacks;
+}
 
 }  // namespace blsm::kv
 

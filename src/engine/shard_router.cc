@@ -191,6 +191,8 @@ std::map<std::string, uint64_t> ShardRouter::Stats() const {
     for (const auto& [key, value] : sh->Stats()) {
       if (key == "compaction.policy") {
         total[key] = value;  // identical across shards; summing would lie
+      } else if (key == "write.max_stall_micros") {
+        total[key] = std::max(total[key], value);  // longest single stall
       } else {
         total[key] += value;
       }

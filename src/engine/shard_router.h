@@ -59,7 +59,7 @@ class ShardRouter final : public kv::Engine {
 
   // Aggregated child counters (numeric sum per key) plus the router's own
   // shape keys. "compaction.policy" is identical across shards and passes
-  // through unsummed.
+  // through unsummed; "write.max_stall_micros" is the largest shard's.
   std::map<std::string, uint64_t> Stats() const override;
 
   int num_shards() const { return static_cast<int>(shards_.size()); }

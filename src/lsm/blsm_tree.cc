@@ -267,6 +267,40 @@ uint64_t BlsmTree::C0LiveBytes() const {
 
 Status BlsmTree::BackgroundError() const { return runner_->BackgroundError(); }
 
+std::map<std::string, uint64_t> BlsmTree::Stats() const {
+  const BlsmStats& s = stats_;
+  const LogicalLog::Counters wal = WalCounters();
+  std::map<std::string, uint64_t> stats = {
+      {"puts", s.puts.load()},
+      {"gets", s.gets.load()},
+      {"deletes", s.deletes.load()},
+      {"deltas", s.deltas.load()},
+      {"insert_if_not_exists", s.insert_if_not_exists.load()},
+      {"bloom_skips", s.bloom_skips.load()},
+      {"write.stalls", s.write_stalls.load()},
+      {"write_stall_micros", s.write_stall_micros.load()},
+      {"write.max_stall_micros", s.max_stall_micros.load()},
+      {"merge1_passes", s.merge1_passes.load()},
+      {"merge2_passes", s.merge2_passes.load()},
+      {"merge1_bytes_out", s.merge1_bytes_out.load()},
+      {"merge2_bytes_out", s.merge2_bytes_out.load()},
+      {"merge_retries", s.merge_retries.load()},
+      {"orphans_scavenged", s.orphans_scavenged.load()},
+      {"on_disk_bytes", OnDiskBytes()},
+      {"c0_live_bytes", C0LiveBytes()},
+      {"wal.records", wal.records},
+      {"wal.batches", wal.batches},
+      {"wal.syncs", wal.syncs},
+      {"block_cache.hits", CacheHits()},
+      {"block_cache.misses", CacheMisses()},
+      {"read.views_pinned", s.views_pinned.load()},
+      {"read.multiget_batches", s.multiget_batches.load()},
+      {"read.blocks_coalesced", s.blocks_coalesced.load()},
+  };
+  kv::AddIoStats(IoCounters(), &stats);
+  return stats;
+}
+
 // --- writes ---------------------------------------------------------------
 
 void BlsmTree::ApplyBackpressure() {
@@ -744,7 +778,8 @@ std::unique_ptr<ScanIterator> BlsmTree::NewScanIterator() {
       new ScanIterator(std::move(merged), merge_op_, std::move(pins)));
 }
 
-Status BlsmTree::Scan(const Slice& start, size_t limit,
+Status BlsmTree::Scan(const kv::ReadOptions& /*options*/, const Slice& start,
+                      size_t limit,
                       std::vector<std::pair<std::string, std::string>>* out) {
   out->clear();
   auto it = NewScanIterator();
@@ -1261,7 +1296,7 @@ Status BlsmTree::CompactToBottom() {
   return s;
 }
 
-void BlsmTree::WaitForMergeIdle() {
+void BlsmTree::WaitIdle() {
   if (options_.read_only) return;
   // Drain at full speed: pacing is meant to shape concurrent workloads, not
   // to make an idle wait last forever.

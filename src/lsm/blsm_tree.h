@@ -3,12 +3,14 @@
 
 #include <atomic>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "buffer/block_cache.h"
 #include "engine/background_runner.h"
+#include "engine/kv.h"
 #include "engine/stall_tracker.h"
 #include "engine/write_batch.h"
 #include "engine/write_frontend.h"
@@ -114,24 +116,29 @@ struct BlsmStats {
 // refcount bump. Old views retire when the last reader drops them, which is
 // also what keeps replaced component files alive until in-flight reads
 // finish.
-class BlsmTree {
+//
+// The tree is itself a kv::Engine: benches keep the concrete pointer for
+// scheduler state and BlsmStats while drivers take it as an Engine*.
+class BlsmTree final : public kv::Engine {
  public:
   static Status Open(const BlsmOptions& options, const std::string& dir,
                      std::unique_ptr<BlsmTree>* out);
 
-  ~BlsmTree();
+  ~BlsmTree() override;
   BlsmTree(const BlsmTree&) = delete;
   BlsmTree& operator=(const BlsmTree&) = delete;
 
+  std::string Name() const override { return "bLSM"; }
+
   // Blind write of a complete value: zero seeks (Table 1).
-  Status Put(const Slice& key, const Slice& value);
+  Status Put(const Slice& key, const Slice& value) override;
 
   // Applies a batch of blind writes atomically for durability: one sequence
   // range, one WAL record group, one group-commit sync.
-  Status Write(const kv::WriteBatch& batch);
+  Status Write(const kv::WriteBatch& batch) override;
 
   // Blind delete (tombstone).
-  Status Delete(const Slice& key);
+  Status Delete(const Slice& key) override;
 
   // Blind delta write, interpreted by the MergeOperator: zero seeks.
   Status WriteDelta(const Slice& key, const Slice& delta);
@@ -139,11 +146,11 @@ class BlsmTree {
   // §3.1.2: returns KeyExists without writing if the key is present. With
   // Bloom filters on every component (including C2) the not-exists path
   // costs zero seeks.
-  Status InsertIfNotExists(const Slice& key, const Slice& value);
+  Status InsertIfNotExists(const Slice& key, const Slice& value) override;
 
   // Point lookup; ~1 seek (§3.1.1). NotFound if absent or deleted.
   // Lock-free: pins the published ReadView, acquires no mutex.
-  Status Get(const Slice& key, std::string* value) EXCLUDES(mu_);
+  Status Get(const Slice& key, std::string* value) override EXCLUDES(mu_);
 
   // Batched point lookups against one pinned view of the tree:
   // values->at(i) and the returned status i correspond to keys[i]. The
@@ -152,7 +159,7 @@ class BlsmTree {
   // adjacent keys landing in the same block decode it once. Lock-free like
   // Get.
   std::vector<Status> MultiGet(const std::vector<Slice>& keys,
-                               std::vector<std::string>* values)
+                               std::vector<std::string>* values) override
       EXCLUDES(mu_);
 
   // Read-modify-write convenience: Get (NotFound -> absent=true), then Put
@@ -160,32 +167,38 @@ class BlsmTree {
   Status ReadModifyWrite(
       const Slice& key,
       const std::function<std::string(const std::string& old, bool absent)>&
-          update);
+          update) override;
 
   // Range scan from `start` (inclusive): up to `limit` user records, newest
   // versions, deltas applied, tombstones elided. Touches every component
   // (§3.3): 2-3 seeks regardless of scan length.
-  Status Scan(const Slice& start, size_t limit,
-              std::vector<std::pair<std::string, std::string>>* out);
+  using kv::Engine::Scan;
+  Status Scan(const kv::ReadOptions& options, const Slice& start,
+              size_t limit,
+              std::vector<std::pair<std::string, std::string>>* out) override;
 
   // Streaming scan; see ScanIterator below.
   std::unique_ptr<ScanIterator> NewScanIterator();
 
   // Pushes C0 into C1 and waits (one synchronous merge pass).
-  Status Flush();
+  Status Flush() override;
 
   // Pushes everything into C2 (flush, force-promote, merge) and waits.
   Status CompactToBottom();
 
   // Blocks until both merge threads are idle and no trigger is pending.
-  void WaitForMergeIdle() EXCLUDES(mu_);
+  void WaitIdle() override EXCLUDES(mu_);
 
   // Progress/estimator snapshot (also how tests validate the schedulers).
   SchedulerState ComputeSchedulerState() const EXCLUDES(mu_);
 
   const BlsmStats& stats() const { return stats_; }
 
-  // WAL group-commit counters (wal.* in kv::Engine::Stats()).
+  // BlsmStats plus the WAL, block-cache, size and io.* counters as named
+  // keys (kv::Engine's uniform stats surface).
+  std::map<std::string, uint64_t> Stats() const override;
+
+  // WAL group-commit counters (wal.* in Stats()).
   LogicalLog::Counters WalCounters() const {
     return frontend_->WalCounters();
   }
@@ -195,7 +208,7 @@ class BlsmTree {
     return cache_ != nullptr ? cache_->misses() : 0;
   }
 
-  // Terminal-Env IO counters (io.* in kv::Engine::Stats()); nullptr when
+  // Terminal-Env IO counters (io.* in Stats()); nullptr when
   // the Env stack has no counting terminal.
   const EnvIoCounters* IoCounters() const { return env_->io_counters(); }
 
@@ -206,7 +219,7 @@ class BlsmTree {
   // Distribution of measured per-stall durations (microseconds).
   Histogram StallHistogram() const { return stall_tracker_.HistogramSnapshot(); }
 
-  Status BackgroundError() const;
+  Status BackgroundError() const override;
 
  private:
   // An immutable on-disk component; unlinks its file when the last reference

@@ -397,7 +397,7 @@ Status MultilevelTree::CompactAll() {
   }
 }
 
-void MultilevelTree::WaitForIdle() {
+void MultilevelTree::WaitIdle() {
   if (options_.read_only) return;
   // Returns early if a background error latches (WaitUntil's contract):
   // a faulted compactor never drains its backlog.

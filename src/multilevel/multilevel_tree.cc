@@ -269,6 +269,51 @@ Status MultilevelTree::BackgroundError() const {
   return runner_->BackgroundError();
 }
 
+std::map<std::string, uint64_t> MultilevelTree::Stats() const {
+  const MultilevelStats& s = stats_;
+  const LogicalLog::Counters wal = WalCounters();
+  std::map<std::string, uint64_t> stats = {
+      {"puts", s.puts.load()},
+      {"gets", s.gets.load()},
+      {"write.stalls", s.write_stalls.load()},
+      {"write_stall_micros", s.write_stall_micros.load()},
+      {"write.max_stall_micros", s.max_stall_micros.load()},
+      {"slowdown_writes", s.slowdown_writes.load()},
+      {"stopped_writes", s.stopped_writes.load()},
+      {"memtable_flushes", s.memtable_flushes.load()},
+      {"c0_live_bytes", C0LiveBytes()},
+      {"compactions", s.compactions.load()},
+      {"compaction_bytes", s.compaction_bytes.load()},
+      {"compaction_retries", s.compaction_retries.load()},
+      // Which point of the compaction design space this tree runs (the
+      // engine::CompactionLayout value; the spec string is
+      // CompactionPolicyName()).
+      {"compaction.policy", static_cast<uint64_t>(CompactionPolicyLayout())},
+      {"orphans_scavenged", s.orphans_scavenged.load()},
+      {"on_disk_bytes", OnDiskBytes()},
+      {"wal.records", wal.records},
+      {"wal.batches", wal.batches},
+      {"wal.syncs", wal.syncs},
+      {"block_cache.hits", CacheHits()},
+      {"block_cache.misses", CacheMisses()},
+      {"read.views_pinned", s.views_pinned.load()},
+      {"read.multiget_batches", s.multiget_batches.load()},
+      {"read.run_probes", s.read_run_probes.load()},
+      // No cross-key block coalescing in the multilevel read path; the
+      // key is reported for cross-engine symmetry.
+      {"read.blocks_coalesced", 0},
+  };
+  // Per-level shape and write-amplification bytes (flushes land in l0).
+  for (int l = 0; l < kNumLevels; l++) {
+    std::string suffix = "_l" + std::to_string(l);
+    stats["files" + suffix] = static_cast<uint64_t>(NumFilesAtLevel(l));
+    stats["level_bytes" + suffix] = BytesAtLevel(l);
+    stats["compaction.write_bytes" + suffix] = s.level_write_bytes[l].load();
+  }
+  kv::AddIoStats(IoCounters(), &stats);
+  return stats;
+}
+
 int MultilevelTree::NumFilesAtLevel(int level) const {
   util::MutexLock l(&mu_);
   return static_cast<int>(version_->levels[level].size());
@@ -515,7 +560,7 @@ Status MultilevelTree::GetFromView(const Slice& key, const ReadView& view,
 }
 
 Status MultilevelTree::Scan(
-    const Slice& start, size_t limit,
+    const kv::ReadOptions& /*options*/, const Slice& start, size_t limit,
     std::vector<std::pair<std::string, std::string>>* out) {
   out->clear();
   ReadViewPtr view = PinView();

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "buffer/block_cache.h"
 #include "engine/background_runner.h"
 #include "engine/compaction_policy.h"
+#include "engine/kv.h"
 #include "engine/stall_tracker.h"
 #include "engine/write_batch.h"
 #include "engine/write_frontend.h"
@@ -104,8 +106,8 @@ struct MultilevelStats {
   std::atomic<uint64_t> orphans_scavenged{0};
   // Read-path counters: view pins (one per Get/MultiGet/scan) and MultiGet
   // batches. (No block coalescing here — the multilevel read path probes
-  // per-level files key by key; kv::Engine::Stats() reports the key with a
-  // zero for symmetry with bLSM.)
+  // per-level files key by key; Stats() reports the key with a zero for
+  // symmetry with bLSM.)
   std::atomic<uint64_t> views_pinned{0};
   std::atomic<uint64_t> multiget_batches{0};
   // On-disk runs actually probed by point lookups (a probe of a sorted
@@ -121,52 +123,63 @@ struct MultilevelStats {
 // where the paper says LevelDB differs: many levels of constant ratio, a
 // partition scheduler that compacts one file (plus overlap) at a time,
 // stop-the-world L0 backpressure, and (by default) no Bloom filters.
-class MultilevelTree {
+// Like BlsmTree, the tree is itself a kv::Engine.
+class MultilevelTree final : public kv::Engine {
  public:
   static Status Open(const MultilevelOptions& options, const std::string& dir,
                      std::unique_ptr<MultilevelTree>* out);
 
-  ~MultilevelTree();
+  ~MultilevelTree() override;
   MultilevelTree(const MultilevelTree&) = delete;
   MultilevelTree& operator=(const MultilevelTree&) = delete;
 
-  Status Put(const Slice& key, const Slice& value);
+  std::string Name() const override { return "LevelDB-like"; }
+
+  Status Put(const Slice& key, const Slice& value) override;
   // Applies a batch of writes atomically for durability: one sequence range,
   // one WAL record group, one group-commit sync.
-  Status Write(const kv::WriteBatch& batch);
-  Status Delete(const Slice& key);
+  Status Write(const kv::WriteBatch& batch) override;
+  Status Delete(const Slice& key) override;
   Status WriteDelta(const Slice& key, const Slice& delta);
 
   // No Bloom filters: the existence check is a full multi-level lookup —
   // O(levels) seeks, the cost §3.1.2 contrasts with bLSM's zero.
-  Status InsertIfNotExists(const Slice& key, const Slice& value);
+  Status InsertIfNotExists(const Slice& key, const Slice& value) override;
 
   // Point lookup: memtables, then L0 newest-first, then one file per deeper
   // level — O(log n) seeks uncached (Table 1). Lock-free: pins the
   // published ReadView, acquires no mutex.
-  Status Get(const Slice& key, std::string* value) EXCLUDES(mu_);
+  Status Get(const Slice& key, std::string* value) override EXCLUDES(mu_);
 
   // Batched point lookups against one pinned view; statuses/values align
   // with keys. (No cross-key block coalescing: unlike bLSM's three big
   // components, the per-key file set differs level by level.)
   std::vector<Status> MultiGet(const std::vector<Slice>& keys,
-                               std::vector<std::string>* values)
+                               std::vector<std::string>* values) override
       EXCLUDES(mu_);
 
   Status ReadModifyWrite(
       const Slice& key,
       const std::function<std::string(const std::string& old, bool absent)>&
-          update);
+          update) override;
 
-  Status Scan(const Slice& start, size_t limit,
-              std::vector<std::pair<std::string, std::string>>* out);
+  using kv::Engine::Scan;
+  Status Scan(const kv::ReadOptions& options, const Slice& start,
+              size_t limit,
+              std::vector<std::pair<std::string, std::string>>* out) override;
 
   // Flushes the memtable and compacts until every level is within target.
   Status CompactAll() EXCLUDES(mu_);
-  void WaitForIdle() EXCLUDES(mu_);
+  // The engine's durable step is a full CompactAll().
+  Status Flush() override { return CompactAll(); }
+  // Blocks until no flush or compaction is running or pending.
+  void WaitIdle() override EXCLUDES(mu_);
 
   const MultilevelStats& stats() const { return stats_; }
-  Status BackgroundError() const;
+  // MultilevelStats plus per-level shape, WAL, block-cache and io.*
+  // counters as named keys (kv::Engine's uniform stats surface).
+  std::map<std::string, uint64_t> Stats() const override;
+  Status BackgroundError() const override;
   int NumFilesAtLevel(int level) const EXCLUDES(mu_);
   uint64_t BytesAtLevel(int level) const EXCLUDES(mu_);
   uint64_t OnDiskBytes() const EXCLUDES(mu_);
@@ -183,7 +196,7 @@ class MultilevelTree {
   // Distribution of measured per-stall durations (microseconds).
   Histogram StallHistogram() const { return stall_tracker_.HistogramSnapshot(); }
 
-  // WAL group-commit counters (wal.* in kv::Engine::Stats()).
+  // WAL group-commit counters (wal.* in Stats()).
   LogicalLog::Counters WalCounters() const {
     return frontend_->WalCounters();
   }
@@ -193,7 +206,7 @@ class MultilevelTree {
     return cache_ != nullptr ? cache_->misses() : 0;
   }
 
-  // Terminal-Env IO counters (io.* in kv::Engine::Stats()); nullptr when
+  // Terminal-Env IO counters (io.* in Stats()); nullptr when
   // the Env stack has no counting terminal.
   const EnvIoCounters* IoCounters() const { return env_->io_counters(); }
 

@@ -62,7 +62,9 @@ uint64_t KeyChooser::Next() {
   return 0;
 }
 
-std::string ValueGenerator::Next(uint64_t record_id, size_t size) {
+std::string ValueGenerator::Next(uint64_t record_id, size_t size) const {
+  Random rng(Hash64(reinterpret_cast<const char*>(&record_id),
+                    sizeof(record_id), seed_));
   std::string value;
   value.reserve(size);
   char header[32];
@@ -72,7 +74,7 @@ std::string ValueGenerator::Next(uint64_t record_id, size_t size) {
   static const char kAlphabet[] =
       "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
   while (value.size() < size) {
-    value.push_back(kAlphabet[rng_.Uniform(sizeof(kAlphabet) - 1)]);
+    value.push_back(kAlphabet[rng.Uniform(sizeof(kAlphabet) - 1)]);
   }
   value.resize(size);
   return value;

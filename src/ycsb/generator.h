@@ -43,15 +43,17 @@ class KeyChooser {
 };
 
 // Deterministic value payloads. Values are printable and carry the record
-// id at the front so correctness checks can verify reads.
+// id at the front so correctness checks can verify reads. Next() is a pure
+// function of (seed, record_id, size): any generator built with the same
+// seed regenerates the value a load wrote, whatever it produced before.
 class ValueGenerator {
  public:
-  explicit ValueGenerator(uint64_t seed) : rng_(seed) {}
+  explicit ValueGenerator(uint64_t seed) : seed_(seed) {}
 
-  std::string Next(uint64_t record_id, size_t size);
+  std::string Next(uint64_t record_id, size_t size) const;
 
  private:
-  Random rng_;
+  uint64_t seed_;
 };
 
 }  // namespace blsm::ycsb

@@ -171,7 +171,7 @@ TEST_P(BlsmPropertyTest, MatchesModelUnderRandomOps) {
   }
 
   // Full-state equivalence via a complete scan.
-  tree->WaitForMergeIdle();
+  tree->WaitIdle();
   ASSERT_TRUE(tree->BackgroundError().ok());
   std::vector<std::pair<std::string, std::string>> all;
   ASSERT_TRUE(tree->Scan("", kKeySpace + 1, &all).ok());

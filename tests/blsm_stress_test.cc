@@ -150,7 +150,7 @@ TEST_P(BlsmStressTest, ConcurrentMixedLoadStaysConsistent) {
   ASSERT_FALSE(failed.load());
 
   // Final state: the last round everywhere.
-  tree->WaitForMergeIdle();
+  tree->WaitIdle();
   ASSERT_TRUE(tree->BackgroundError().ok());
   for (int w = 0; w < kWriters; w++) {
     for (uint64_t k = 0; k < kKeysPerWriter; k += 7) {

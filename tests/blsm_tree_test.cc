@@ -203,7 +203,7 @@ TEST_P(BlsmTreeTest, LargeLoadAndPointReads) {
     ASSERT_TRUE(
         tree_->Put(PaddedKey(i), std::string(100 + rnd.Uniform(200), 'a')).ok());
   }
-  tree_->WaitForMergeIdle();
+  tree_->WaitIdle();
   ASSERT_TRUE(tree_->BackgroundError().ok());
   for (uint64_t i = 0; i < kN; i += 29) {
     std::string value;
@@ -360,7 +360,7 @@ TEST_P(BlsmTreeTest, ConcurrentWritersAndReaders) {
   });
   for (auto& t : threads) t.join();
   ASSERT_FALSE(failed.load());
-  tree_->WaitForMergeIdle();
+  tree_->WaitIdle();
   ASSERT_TRUE(tree_->BackgroundError().ok());
   // Everything written must be readable.
   for (uint64_t k = 0; k < kWriters * kPerWriter; k += 17) {
@@ -587,7 +587,7 @@ TEST(BlsmTreeMergeOpTest, Int64CounterWorkload) {
                       .ok());
     }
   }
-  tree->WaitForMergeIdle();
+  tree->WaitIdle();
   ASSERT_TRUE(tree->BackgroundError().ok());
   for (int c = 0; c < kCounters; c++) {
     std::string value;

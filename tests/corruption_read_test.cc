@@ -64,7 +64,7 @@ class CorruptionReadTest : public ::testing::Test {
           (*tree)->Put(KeyFor(i), "value-" + std::to_string(i)).ok());
     }
     ASSERT_TRUE((*tree)->Flush().ok());
-    (*tree)->WaitForMergeIdle();
+    (*tree)->WaitIdle();
 
     tree_file_ = FindFileWithSuffix(&env_, "db", ".tree");
     ASSERT_FALSE(tree_file_.empty());

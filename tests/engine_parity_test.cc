@@ -279,6 +279,27 @@ TEST_P(EngineParityTest, StatsConcurrentWithWriters) {
   EXPECT_FALSE(stats.empty()) << name;
 }
 
+// Delete is blind on every engine: removing a key that was never written
+// (or is already gone) succeeds, and the key stays absent.
+TEST_P(EngineParityTest, DeleteOfAbsentKeySucceeds) {
+  const std::string& name = GetParam();
+  MemEnv env;
+  kv::CommonOptions options;
+  options.env = &env;
+  options.durability = DurabilityMode::kNone;
+
+  std::unique_ptr<kv::Engine> engine;
+  ASSERT_TRUE(kv::Open(name, options, "db", &engine).ok());
+  Status s = engine->Delete("never-written");
+  EXPECT_TRUE(s.ok()) << name << ": " << s.ToString();
+  ASSERT_TRUE(engine->Put("k", "v").ok());
+  ASSERT_TRUE(engine->Delete("k").ok()) << name;
+  s = engine->Delete("k");
+  EXPECT_TRUE(s.ok()) << name << ": " << s.ToString();
+  std::string value;
+  EXPECT_TRUE(engine->Get("k", &value).IsNotFound()) << name;
+}
+
 // Every engine, same seed → byte-identical models, so transitively every
 // engine agrees with every other.
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineParityTest,
@@ -299,6 +320,55 @@ TEST(EngineRegistryTest, BuiltinsRegisteredUnknownRejected) {
   std::unique_ptr<kv::Engine> engine;
   Status s = kv::Open("no-such-engine", options, "x", &engine);
   EXPECT_TRUE(s.IsNotFound()) << s.ToString();
+}
+
+// The B-tree has no read-only mode of its own; kv::Open("btree") supplies
+// one: it refuses to create a database, and the engine refuses writes.
+TEST(BTreeEngineTest, ReadOnlyOpenOfMissingDirectoryIsNotFound) {
+  MemEnv env;
+  kv::CommonOptions options;
+  options.env = &env;
+  options.read_only = true;
+  std::unique_ptr<kv::Engine> engine;
+  Status s = kv::Open("btree", options, "missing", &engine);
+  EXPECT_TRUE(s.IsNotFound()) << s.ToString();
+  EXPECT_FALSE(env.FileExists("missing/btree.db"));
+}
+
+TEST(BTreeEngineTest, ReadOnlyEngineRejectsWritesAndServesReads) {
+  MemEnv env;
+  kv::CommonOptions options;
+  options.env = &env;
+  std::unique_ptr<kv::Engine> engine;
+  ASSERT_TRUE(kv::Open("btree", options, "db", &engine).ok());
+  ASSERT_TRUE(engine->Put("a", "1").ok());
+  ASSERT_TRUE(engine->Put("b", "2").ok());
+  ASSERT_TRUE(engine->Flush().ok());
+  engine.reset();
+
+  options.read_only = true;
+  ASSERT_TRUE(kv::Open("btree", options, "db", &engine).ok());
+  kv::WriteBatch batch;
+  batch.Put("c", "3");
+  auto update = [](const std::string&, bool) { return std::string("x"); };
+  EXPECT_TRUE(engine->Put("c", "3").IsNotSupported());
+  EXPECT_TRUE(engine->Write(batch).IsNotSupported());
+  EXPECT_TRUE(engine->Delete("a").IsNotSupported());
+  EXPECT_TRUE(engine->InsertIfNotExists("c", "3").IsNotSupported());
+  EXPECT_TRUE(engine->ReadModifyWrite("a", update).IsNotSupported());
+  EXPECT_TRUE(engine->Flush().IsNotSupported());
+  engine->WaitIdle();
+  EXPECT_TRUE(engine->BackgroundError().ok());
+
+  std::string value;
+  ASSERT_TRUE(engine->Get("a", &value).ok());
+  EXPECT_EQ(value, "1");
+  EXPECT_TRUE(engine->Get("c", &value).IsNotFound());
+  std::vector<std::pair<std::string, std::string>> rows;
+  ASSERT_TRUE(engine->Scan("", 10, &rows).ok());
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0], std::make_pair(std::string("a"), std::string("1")));
+  EXPECT_EQ(rows[1], std::make_pair(std::string("b"), std::string("2")));
 }
 
 // "name:variant" selects a compaction policy inline; bad variants and

@@ -320,8 +320,8 @@ TEST(SharedEnvTest, TwoEnginesBothMakeProgress) {
   });
   blsm_writer.join();
   ml_writer.join();
-  blsm_tree->WaitForMergeIdle();
-  ml_tree->WaitForIdle();
+  blsm_tree->WaitIdle();
+  ml_tree->WaitIdle();
 
   EXPECT_TRUE(blsm_tree->BackgroundError().ok());
   EXPECT_TRUE(ml_tree->BackgroundError().ok());

@@ -98,7 +98,7 @@ TEST_P(MultilevelPropertyTest, MatchesModelUnderRandomOps) {
     }
   }
 
-  tree->WaitForIdle();
+  tree->WaitIdle();
   ASSERT_TRUE(tree->BackgroundError().ok());
   std::vector<std::pair<std::string, std::string>> all;
   ASSERT_TRUE(tree->Scan("", kKeySpace + 1, &all).ok());

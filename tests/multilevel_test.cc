@@ -153,7 +153,7 @@ TEST_F(MultilevelTest, RecoveryAfterCrash) {
   for (uint64_t i = 0; i < 3000; i++) {
     ASSERT_TRUE(tree_->Put(PaddedKey(i), "pre").ok());
   }
-  tree_->WaitForIdle();
+  tree_->WaitIdle();
   tree_.reset();
   mem_env_.DropUnsynced();
   Open(SmallOptions());
@@ -219,7 +219,7 @@ TEST_F(MultilevelTest, BloomOptionReducesProbes) {
   for (uint64_t i = 0; i < 5000; i++) {
     ASSERT_TRUE(tree_->Put(PaddedKey(i), std::string(100, 'x')).ok());
   }
-  tree_->WaitForIdle();
+  tree_->WaitIdle();
   auto before = mem_env_.io_counters()->snapshot();
   for (uint64_t i = 0; i < 500; i++) {
     std::string value;
@@ -245,7 +245,7 @@ TEST_F(MultilevelTest, SaturatingWritesStall) {
     ASSERT_TRUE(
         tree_->Put(PaddedKey(rnd.Uniform(100000)), std::string(500, 'x')).ok());
   }
-  tree_->WaitForIdle();
+  tree_->WaitIdle();
   ASSERT_TRUE(tree_->BackgroundError().ok());
   EXPECT_GT(tree_->stats().slowdown_writes.load() +
                 tree_->stats().stopped_writes.load(),
@@ -308,7 +308,7 @@ TEST_F(MultilevelTest, TieringStacksOverlappingRuns) {
         tree_->Put(PaddedKey(rnd.Uniform(1000000)), std::string(100, 'x'))
             .ok());
   }
-  tree_->WaitForIdle();
+  tree_->WaitIdle();
   ASSERT_TRUE(tree_->BackgroundError().ok());
   EXPECT_EQ(tree_->CompactionPolicyName(), "tiering@3");
 
@@ -377,7 +377,7 @@ TEST_F(MultilevelTest, TieredShapeSurvivesReopen) {
         tree_->Put(PaddedKey(rnd.Uniform(500000)), std::string(100, 'y'))
             .ok());
   }
-  tree_->WaitForIdle();
+  tree_->WaitIdle();
   ASSERT_TRUE(tree_->BackgroundError().ok());
   std::vector<int> shape(kNumLevels);
   for (int l = 0; l < kNumLevels; l++) shape[l] = tree_->NumFilesAtLevel(l);

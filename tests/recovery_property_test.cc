@@ -81,7 +81,7 @@ TEST_P(RecoveryPropertyTest, SyncedWritesSurviveCrashes) {
     }
     // Give background merges a random amount of runway, then pull the plug
     // without any orderly shutdown.
-    if (rnd.OneIn(2)) tree->WaitForMergeIdle();
+    if (rnd.OneIn(2)) tree->WaitIdle();
     tree.reset();  // joins threads; does NOT sync anything extra in kSync
     env.DropUnsynced();
   }
@@ -165,7 +165,7 @@ TEST_P(RecoveryPropertyTest, MultilevelSyncedWritesSurviveCrashes) {
       ASSERT_TRUE(tree->Put(key, value).ok());
       model[key] = value;
     }
-    if (rnd.OneIn(2)) tree->WaitForIdle();
+    if (rnd.OneIn(2)) tree->WaitIdle();
     tree.reset();
     env.DropUnsynced();
   }

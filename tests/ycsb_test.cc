@@ -2,9 +2,9 @@
 
 #include <set>
 
+#include "engine/kv.h"
 #include "io/mem_env.h"
 #include "lsm/blsm_tree.h"
-#include "btree/btree.h"
 #include "multilevel/multilevel_tree.h"
 #include "ycsb/driver.h"
 #include "ycsb/generator.h"
@@ -76,6 +76,17 @@ TEST(ValueGeneratorTest, SizeAndHeader) {
   EXPECT_EQ(v.substr(0, 4), "r42:");
 }
 
+TEST(ValueGeneratorTest, ValueDependsOnlyOnSeedAndId) {
+  // A verifier rebuilds the generator and regenerates what a load wrote,
+  // whatever else the loading generator produced first.
+  const std::string expected = ValueGenerator(1).Next(42, 1000);
+  ValueGenerator gen(1);
+  for (uint64_t id = 0; id < 100; id++) gen.Next(id + 1000, 500);
+  EXPECT_EQ(gen.Next(42, 1000), expected);
+  EXPECT_EQ(gen.Next(42, 1000), expected);
+  EXPECT_NE(ValueGenerator(2).Next(42, 1000), expected);
+}
+
 TEST(WorkloadSpecTest, StandardMixes) {
   auto a = WorkloadA(1000);
   EXPECT_DOUBLE_EQ(a.read_proportion + a.update_proportion, 1.0);
@@ -88,7 +99,7 @@ TEST(WorkloadSpecTest, StandardMixes) {
   EXPECT_DOUBLE_EQ(rmw.rmw_proportion, 0.4);
 }
 
-// End-to-end: load + run each engine through the adapter, verify counts.
+// End-to-end: load + run each engine through the driver, verify counts.
 class DriverTest : public ::testing::Test {
  protected:
   MemEnv env_;
@@ -101,7 +112,6 @@ TEST_F(DriverTest, BlsmLoadAndMixedWorkload) {
   options.durability = DurabilityMode::kNone;
   std::unique_ptr<BlsmTree> tree;
   ASSERT_TRUE(BlsmTree::Open(options, "db", &tree).ok());
-  auto engine = kv::WrapBlsm(tree.get());
 
   WorkloadSpec spec = WorkloadA(2000);
   spec.value_size = 100;
@@ -110,12 +120,12 @@ TEST_F(DriverTest, BlsmLoadAndMixedWorkload) {
   dopts.operations = 3000;
   // Narrow buckets so the run spans several, ending in a partial one.
   dopts.bucket_seconds = 0.001;
-  auto load = RunLoad(engine.get(), spec, dopts, false, false);
+  auto load = RunLoad(tree.get(), spec, dopts, false, false);
   EXPECT_EQ(load.ops, 2000u);
   EXPECT_EQ(load.errors, 0u);
   EXPECT_GT(load.OpsPerSecond(), 0.0);
 
-  auto run = RunWorkload(engine.get(), spec, dopts);
+  auto run = RunWorkload(tree.get(), spec, dopts);
   EXPECT_EQ(run.ops, 3000u);
   EXPECT_EQ(run.errors, 0u);
   EXPECT_EQ(run.latency_us.count(), 3000u);
@@ -140,11 +150,10 @@ TEST_F(DriverTest, BlsmLoadAndMixedWorkload) {
 }
 
 TEST_F(DriverTest, BTreeAdapter) {
-  btree::BTreeOptions options;
+  kv::CommonOptions options;
   options.env = &env_;
-  std::unique_ptr<btree::BTree> tree;
-  ASSERT_TRUE(btree::BTree::Open(options, "bt.db", &tree).ok());
-  auto engine = kv::WrapBTree(tree.get());
+  std::unique_ptr<kv::Engine> engine;
+  ASSERT_TRUE(kv::Open("btree", options, "bt", &engine).ok());
 
   WorkloadSpec spec = WorkloadB(1000);
   spec.value_size = 100;
@@ -157,25 +166,24 @@ TEST_F(DriverTest, BTreeAdapter) {
   EXPECT_EQ(run.errors, 0u);
 }
 
-TEST_F(DriverTest, MultilevelAdapter) {
+TEST_F(DriverTest, MultilevelLoadAndWorkload) {
   multilevel::MultilevelOptions options;
   options.env = &env_;
   options.memtable_bytes = 64 << 10;
   options.durability = DurabilityMode::kNone;
   std::unique_ptr<multilevel::MultilevelTree> tree;
   ASSERT_TRUE(multilevel::MultilevelTree::Open(options, "ml", &tree).ok());
-  auto engine = kv::WrapMultilevel(tree.get());
 
   WorkloadSpec spec = WorkloadF(1000);
   spec.value_size = 100;
   DriverOptions dopts;
   dopts.threads = 2;
   dopts.operations = 2000;
-  auto load = RunLoad(engine.get(), spec, dopts, false, false);
+  auto load = RunLoad(tree.get(), spec, dopts, false, false);
   EXPECT_EQ(load.errors, 0u);
-  auto run = RunWorkload(engine.get(), spec, dopts);
+  auto run = RunWorkload(tree.get(), spec, dopts);
   EXPECT_EQ(run.errors, 0u);
-  engine->WaitIdle();
+  tree->WaitIdle();
   ASSERT_TRUE(tree->BackgroundError().ok());
 }
 
@@ -186,15 +194,14 @@ TEST_F(DriverTest, ScanWorkload) {
   options.durability = DurabilityMode::kNone;
   std::unique_ptr<BlsmTree> tree;
   ASSERT_TRUE(BlsmTree::Open(options, "db2", &tree).ok());
-  auto engine = kv::WrapBlsm(tree.get());
 
   WorkloadSpec spec = WorkloadE(1000);
   spec.value_size = 100;
   DriverOptions dopts;
   dopts.threads = 2;
   dopts.operations = 500;
-  RunLoad(engine.get(), spec, dopts, false, false);
-  auto run = RunWorkload(engine.get(), spec, dopts);
+  RunLoad(tree.get(), spec, dopts, false, false);
+  auto run = RunWorkload(tree.get(), spec, dopts);
   EXPECT_EQ(run.errors, 0u);
 }
 
